@@ -221,38 +221,51 @@ impl CachedChunkStore {
         }
     }
 
-    /// Reads a chunk payload, serving from the cache when possible.
-    pub fn get(&self, locator: &Locator) -> Result<Arc<Vec<u8>>, ChunkError> {
+    /// Looks `locator` up in its segment, refreshing the entry's LRU
+    /// position and recording the hit or miss (counters, per-shard
+    /// histograms, trace).
+    fn lookup(&self, locator: &Locator) -> Option<Arc<Vec<u8>>> {
         let seg_idx = self.segment_index(locator);
-        {
-            let mut st = self.segments[seg_idx].lock();
-            st.tick += 1;
-            let tick = st.tick;
-            let hit = st.entries.get_mut(&key_of(locator)).map(|e| {
-                e.last_use = tick;
-                Arc::clone(&e.payload)
-            });
-            if let Some(payload) = hit {
-                self.counters.hits.inc();
-                self.counters.shard_hits.record(seg_idx as u64);
-                self.counters.obs.trace().event(TraceEvent::CacheHit {
-                    extent: locator.extent.0,
-                    offset: locator.offset,
-                });
-                coverage::hit("cache.hit");
-                return Ok(payload);
-            }
+        let hit = self.cached(locator);
+        let (extent, offset) = key_of(locator);
+        if hit.is_some() {
+            self.counters.hits.inc();
+            self.counters.shard_hits.record(seg_idx as u64);
+            self.counters.obs.trace().event(TraceEvent::CacheHit { extent, offset });
+            coverage::hit("cache.hit");
+        } else {
             self.counters.misses.inc();
             self.counters.shard_misses.record(seg_idx as u64);
-            self.counters.obs.trace().event(TraceEvent::CacheMiss {
-                extent: locator.extent.0,
-                offset: locator.offset,
-            });
+            self.counters.obs.trace().event(TraceEvent::CacheMiss { extent, offset });
+            coverage::hit("cache.miss");
         }
-        coverage::hit("cache.miss");
+        hit
+    }
+
+    /// Reads a chunk payload, serving from the cache when possible.
+    pub fn get(&self, locator: &Locator) -> Result<Arc<Vec<u8>>, ChunkError> {
+        if let Some(payload) = self.lookup(locator) {
+            return Ok(payload);
+        }
         let payload = Arc::new(self.store.get(locator)?);
         self.insert(*locator, Arc::clone(&payload));
         Ok(payload)
+    }
+
+    /// Reads the payload bytes `[off, off + len)` of a chunk (see
+    /// [`ChunkStore::get_range`]). A resident whole-chunk entry serves the
+    /// range; a miss reads just the range from the store and does *not*
+    /// populate the cache — entries are whole chunks, and the callers of
+    /// ranged reads (the LSM's decoded-block cache) cache what they
+    /// decode from the range themselves.
+    pub fn get_range(&self, locator: &Locator, off: usize, len: usize) -> Result<Vec<u8>, ChunkError> {
+        if let Some(payload) = self.lookup(locator) {
+            if let Some(range) = off.checked_add(len).and_then(|end| payload.get(off..end)) {
+                return Ok(range.to_vec());
+            }
+            // Out of range: fall through so the store reports the typed error.
+        }
+        self.store.get_range(locator, off, len)
     }
 
     /// Writes a chunk. The cache is a *read* cache (populated on get
@@ -592,6 +605,31 @@ mod tests {
         assert_eq!(c.cached_bytes(), 0);
         assert_eq!(*c.get(&out.locator).unwrap(), vec![9u8; 50]);
         assert_eq!(c.stats().misses, 1);
+    }
+
+    #[test]
+    fn get_range_serves_resident_chunks_and_never_populates() {
+        let c = setup(1024, FaultConfig::none());
+        let none = c.chunk_store().extent_manager().scheduler().none();
+        let payload: Vec<u8> = (0..200u8).collect();
+        let out = c.put(Stream::Data, &payload, &none).unwrap();
+        pump(&c);
+        let disk = c.chunk_store().extent_manager().scheduler().disk().clone();
+        // Miss: the range comes off the disk and the cache stays empty.
+        assert_eq!(c.get_range(&out.locator, 50, 20).unwrap(), &payload[50..70]);
+        assert_eq!(c.stats().misses, 1);
+        assert_eq!(c.cached_bytes(), 0);
+        // A whole-chunk get makes the chunk resident; ranges are then
+        // sliced from it without touching the disk.
+        c.get(&out.locator).unwrap();
+        let reads = disk.stats().reads;
+        assert_eq!(c.get_range(&out.locator, 150, 50).unwrap(), &payload[150..]);
+        assert_eq!(disk.stats().reads, reads);
+        assert_eq!(c.stats().hits, 1);
+        // Out of range is the store's typed error on hit and miss alike.
+        assert!(c.get_range(&out.locator, 150, 51).is_err());
+        c.clear();
+        assert!(c.get_range(&out.locator, 150, 51).is_err());
     }
 
     #[test]

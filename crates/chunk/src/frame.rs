@@ -24,8 +24,12 @@ use shardstore_vdisk::codec::CodecError;
 /// The two magic bytes opening every chunk frame.
 pub const MAGIC: [u8; 2] = *b"MC";
 
-/// Fixed framing overhead: magic + length + two UUID copies.
-pub const FRAME_OVERHEAD: usize = 2 + 4 + 16 + 16;
+/// Length of the frame header preceding the payload: magic + length +
+/// leading UUID.
+pub const FRAME_HEADER_LEN: usize = 2 + 4 + 16;
+
+/// Fixed framing overhead: the header plus the trailing UUID copy.
+pub const FRAME_OVERHEAD: usize = FRAME_HEADER_LEN + 16;
 
 /// Maximum payload length accepted by the decoder (an extent can never
 /// hold more than this, and a corrupt length field must not cause large
@@ -67,8 +71,19 @@ impl DecodedFrame {
 
     /// Extracts the payload bytes from the containing buffer.
     pub fn payload<'a>(&self, buf: &'a [u8]) -> &'a [u8] {
-        &buf[self.offset + 22..self.offset + 22 + self.payload_len]
+        let start = self.offset + FRAME_HEADER_LEN;
+        &buf[start..start + self.payload_len]
     }
+}
+
+/// True if `header` (exactly [`FRAME_HEADER_LEN`] bytes) opens a frame
+/// with this payload length and UUID — the check a ranged read makes in
+/// place of the full [`decode_frame_at`], which needs the trailer too.
+pub fn frame_header_matches(header: &[u8], payload_len: u32, uuid: u128) -> bool {
+    header.len() == FRAME_HEADER_LEN
+        && header[..2] == MAGIC
+        && header[2..6] == payload_len.to_le_bytes()
+        && header[6..] == uuid.to_le_bytes()
 }
 
 /// Attempts to decode a frame starting at `offset` in `buf`, reading no
@@ -79,8 +94,11 @@ impl DecodedFrame {
 /// leading UUID.
 pub fn decode_frame_at(buf: &[u8], offset: usize, limit: usize) -> Result<DecodedFrame, CodecError> {
     let limit = limit.min(buf.len());
-    if offset + 22 > limit {
-        return Err(CodecError::Truncated { needed: 22, remaining: limit.saturating_sub(offset) });
+    if offset + FRAME_HEADER_LEN > limit {
+        return Err(CodecError::Truncated {
+            needed: FRAME_HEADER_LEN,
+            remaining: limit.saturating_sub(offset),
+        });
     }
     if buf[offset..offset + 2] != MAGIC {
         return Err(CodecError::BadMagic);
@@ -99,7 +117,7 @@ pub fn decode_frame_at(buf: &[u8], offset: usize, limit: usize) -> Result<Decode
         return Err(CodecError::BadLength);
     }
     let mut uuid_bytes = [0u8; 16];
-    uuid_bytes.copy_from_slice(&buf[offset + 6..offset + 22]);
+    uuid_bytes.copy_from_slice(&buf[offset + 6..offset + FRAME_HEADER_LEN]);
     let uuid = u128::from_le_bytes(uuid_bytes);
     let mut trailer = [0u8; 16];
     trailer.copy_from_slice(&buf[end - 16..end]);
@@ -187,7 +205,7 @@ pub fn scan_extent(
 /// limit, trailer mismatches, but the trailer position holds magic bytes.
 fn b10_phantom_accept(buf: &[u8], offset: usize, limit: usize) -> Option<DecodedFrame> {
     let limit = limit.min(buf.len());
-    if offset + 22 > limit || buf[offset..offset + 2] != MAGIC {
+    if offset + FRAME_HEADER_LEN > limit || buf[offset..offset + 2] != MAGIC {
         return None;
     }
     let len = u32::from_le_bytes([
@@ -207,7 +225,7 @@ fn b10_phantom_accept(buf: &[u8], offset: usize, limit: usize) -> Option<Decoded
         return None;
     }
     let mut uuid_bytes = [0u8; 16];
-    uuid_bytes.copy_from_slice(&buf[offset + 6..offset + 22]);
+    uuid_bytes.copy_from_slice(&buf[offset + 6..offset + FRAME_HEADER_LEN]);
     Some(DecodedFrame { offset, payload_len: len, uuid: u128::from_le_bytes(uuid_bytes) })
 }
 

@@ -5,7 +5,9 @@
 pub mod frame;
 mod store;
 
-pub use frame::{decode_frame_at, encode_frame, scan_extent, DecodedFrame, FRAME_OVERHEAD, MAGIC};
+pub use frame::{
+    decode_frame_at, encode_frame, scan_extent, DecodedFrame, FRAME_HEADER_LEN, FRAME_OVERHEAD, MAGIC,
+};
 pub use store::{
     ChunkError, ChunkStats, ChunkStore, EvacuationReport, Locator, PutGuard, PutOutcome,
     ReclaimReport, Referencer, Stream,

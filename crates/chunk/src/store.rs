@@ -28,7 +28,9 @@ use shardstore_obs::TraceEvent;
 use shardstore_superblock::{ExtentError, ExtentManager, Owner};
 use shardstore_vdisk::{ExtentId, IoError};
 
-use crate::frame::{encode_frame, scan_extent, FRAME_OVERHEAD};
+use crate::frame::{
+    encode_frame, frame_header_matches, scan_extent, FRAME_HEADER_LEN, FRAME_OVERHEAD,
+};
 
 /// Which logical stream a chunk belongs to; each stream appends to its own
 /// open extent so that data with different lifetimes does not mix.
@@ -351,6 +353,22 @@ impl ChunkStore {
                     coverage::hit("chunk.recover.skip_quarantined");
                     continue;
                 }
+                // One read of the raw extent image serves both the frame
+                // scan and the garbage-tail detection below. (Nothing is
+                // pending in a freshly rebooted scheduler, so the raw image
+                // is what a read through the extent manager would return.)
+                let raw = match store.read_raw_extent(extent) {
+                    Ok(r) => r,
+                    Err(IoError::Failed { .. }) => {
+                        // Permanently dead extent: quarantine it and
+                        // recover everything else. Its chunks read as
+                        // Degraded, never as wrong data.
+                        store.core.em.quarantine(extent);
+                        coverage::hit("chunk.recover.quarantined");
+                        continue;
+                    }
+                    Err(e) => return Err(e.into()),
+                };
                 // Chunks are trusted — and registered — only below the
                 // *persisted* write pointer. Bytes beyond it are either
                 // torn residue of unacknowledged appends or dead data
@@ -358,22 +376,8 @@ impl ChunkStore {
                 // may be resurrected.
                 let sb_ptr = store.core.em.write_pointer(extent);
                 let frames = if sb_ptr > 0 {
-                    match store.read_with_retry(extent, 0, sb_ptr) {
-                        Ok(buf) => {
-                            coverage::hit("chunk.recover.scan_extent");
-                            scan_extent(&buf, sb_ptr, page_size, &store.core.faults)
-                        }
-                        Err(ExtentError::Io(IoError::Failed { .. }))
-                        | Err(ExtentError::Quarantined { .. }) => {
-                            // Permanently dead extent: quarantine it and
-                            // recover everything else. Its chunks read as
-                            // Degraded, never as wrong data.
-                            store.core.em.quarantine(extent);
-                            coverage::hit("chunk.recover.quarantined");
-                            continue;
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
+                    coverage::hit("chunk.recover.scan_extent");
+                    scan_extent(&raw[..sb_ptr], sb_ptr, page_size, &store.core.faults)
                 } else {
                     Vec::new()
                 };
@@ -398,25 +402,6 @@ impl ChunkStore {
                 // misparse the mix — the §5 scenario, where "a second
                 // chunk is written to the same extent, starting from
                 // page 1".
-                let raw = {
-                    let disk = store.core.em.scheduler().disk();
-                    let mut attempts = 0u32;
-                    loop {
-                        match disk.read(extent, 0, extent_size) {
-                            Err(IoError::Injected { .. }) if attempts < 3 => attempts += 1,
-                            other => break other,
-                        }
-                    }
-                };
-                let raw = match raw {
-                    Ok(r) => r,
-                    Err(IoError::Failed { .. }) => {
-                        store.core.em.quarantine(extent);
-                        coverage::hit("chunk.recover.quarantined");
-                        continue;
-                    }
-                    Err(e) => return Err(e.into()),
-                };
                 let garbage_end =
                     raw.iter().rposition(|b| *b != 0).map(|i| i + 1).unwrap_or(0);
                 let new_ptr = if garbage_end > last_valid_end {
@@ -439,6 +424,24 @@ impl ChunkStore {
     /// The underlying extent manager.
     pub fn extent_manager(&self) -> &ExtentManager {
         &self.core.em
+    }
+
+    /// Reads one extent's whole raw image straight off the disk — below
+    /// the write-pointer window and the scheduler's overlay, which is what
+    /// recovery scans need — retrying transient (injected) failures within
+    /// the same budget as [`ChunkStore::get`].
+    pub fn read_raw_extent(&self, extent: ExtentId) -> Result<Vec<u8>, IoError> {
+        let disk = self.core.em.scheduler().disk();
+        let mut attempts = 0u32;
+        loop {
+            match disk.read(extent, 0, self.core.em.extent_size()) {
+                Err(IoError::Injected { .. }) if attempts < 3 => {
+                    attempts += 1;
+                    coverage::hit("chunk.read.retried");
+                }
+                other => return other,
+            }
+        }
     }
 
     /// Reads through the extent manager with a bounded retry of transient
@@ -721,49 +724,62 @@ impl ChunkStore {
         Ok(out)
     }
 
-    /// Reads a chunk back, validating its frame. Corruption is detected
-    /// and reported as [`ChunkError::Corrupt`] — never returned as data.
-    pub fn get(&self, locator: &Locator) -> Result<Vec<u8>, ChunkError> {
-        {
-            let st = self.core.state.lock();
-            let known = st
-                .registry
-                .get(&locator.extent.0)
-                .and_then(|per| per.get(&locator.offset))
-                .map(|m| m.uuid == locator.uuid && m.len == locator.len)
-                .unwrap_or(false);
-            if !known {
-                // A quarantined extent cannot be scanned at recovery, so
-                // its chunks are absent from the registry; a miss there is
-                // "unreadable", not "never existed".
-                if self.core.em.is_quarantined(locator.extent) {
-                    coverage::hit("chunk.get.degraded_unregistered");
-                    return Err(ChunkError::Degraded(*locator));
-                }
-                coverage::hit("chunk.get.not_found");
-                return Err(ChunkError::NotFound(*locator));
-            }
+    /// Classifies `locator` against the registry: `Ok` if it names a
+    /// registered chunk, else `Degraded` on a quarantined extent (which
+    /// recovery could not scan) or `NotFound`.
+    fn check_registered(&self, locator: &Locator) -> Result<(), ChunkError> {
+        let st = self.core.state.lock();
+        let known = st
+            .registry
+            .get(&locator.extent.0)
+            .and_then(|per| per.get(&locator.offset))
+            .map(|m| m.uuid == locator.uuid && m.len == locator.len)
+            .unwrap_or(false);
+        if known {
+            return Ok(());
         }
-        let frame_len = locator.len as usize + FRAME_OVERHEAD;
-        let bytes = match self.read_with_retry(locator.extent, locator.offset as usize, frame_len)
-        {
-            Ok(b) => b,
+        // A quarantined extent cannot be scanned at recovery, so its
+        // chunks are absent from the registry; a miss there is
+        // "unreadable", not "never existed".
+        if self.core.em.is_quarantined(locator.extent) {
+            coverage::hit("chunk.get.degraded_unregistered");
+            return Err(ChunkError::Degraded(*locator));
+        }
+        coverage::hit("chunk.get.not_found");
+        Err(ChunkError::NotFound(*locator))
+    }
+
+    /// Reads `len` bytes at `offset` within `locator`'s frame, mapping a
+    /// dead extent to the *distinguishable* degraded error — never
+    /// `NotFound` and never wrong bytes.
+    fn read_frame_bytes(
+        &self,
+        locator: &Locator,
+        offset: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, ChunkError> {
+        match self.read_with_retry(locator.extent, locator.offset as usize + offset, len) {
+            Ok(b) => Ok(b),
             Err(ExtentError::Quarantined { .. }) => {
-                // The chunk is registered but its extent is dead: the
-                // caller gets a *distinguishable* degraded error, never
-                // NotFound and never wrong bytes.
                 coverage::hit("chunk.get.degraded");
-                return Err(ChunkError::Degraded(*locator));
+                Err(ChunkError::Degraded(*locator))
             }
             Err(ExtentError::Io(IoError::Failed { extent })) => {
                 // First observation of a permanent fault on a read path:
                 // quarantine so writers re-route, then report degraded.
                 self.core.em.quarantine(extent);
                 coverage::hit("chunk.get.degraded");
-                return Err(ChunkError::Degraded(*locator));
+                Err(ChunkError::Degraded(*locator))
             }
-            Err(e) => return Err(e.into()),
-        };
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Reads a chunk back, validating its frame. Corruption is detected
+    /// and reported as [`ChunkError::Corrupt`] — never returned as data.
+    pub fn get(&self, locator: &Locator) -> Result<Vec<u8>, ChunkError> {
+        self.check_registered(locator)?;
+        let bytes = self.read_frame_bytes(locator, 0, locator.len as usize + FRAME_OVERHEAD)?;
         let decoded = crate::frame::decode_frame_at(&bytes, 0, bytes.len())
             .map_err(|_| ChunkError::Corrupt(*locator))?;
         if decoded.uuid != locator.uuid || decoded.payload_len != locator.len as usize {
@@ -772,6 +788,36 @@ impl ChunkStore {
         }
         self.core.state.lock().stats.gets += 1;
         Ok(decoded.payload(&bytes).to_vec())
+    }
+
+    /// Reads the payload bytes `[off, off + len)` of a chunk without
+    /// fetching the rest of its frame. Classifies errors exactly as
+    /// [`ChunkStore::get`] does, and validates the frame header (magic,
+    /// length, UUID) against the locator; only the trailing-UUID compare
+    /// is skipped. That is sound for a *registered* chunk: the registry
+    /// only admits frames that were written whole (at put) or
+    /// scan-validated (at recovery), and the frame never carried a
+    /// payload checksum — callers that need one bring their own.
+    ///
+    /// A range reaching past the payload is a typed
+    /// [`IoError::OutOfRange`], never a read past the frame.
+    pub fn get_range(&self, locator: &Locator, off: usize, len: usize) -> Result<Vec<u8>, ChunkError> {
+        self.check_registered(locator)?;
+        if off.checked_add(len).is_none_or(|end| end > locator.len as usize) {
+            return Err(IoError::OutOfRange { extent: locator.extent, offset: off, len }.into());
+        }
+        // Payload first, header second: a header that still carries the
+        // locator's (unique) UUID *after* the payload read proves no
+        // reclamation reset and reused the space in between, so the bytes
+        // above are this chunk's. The other order would leave a window.
+        let bytes = self.read_frame_bytes(locator, FRAME_HEADER_LEN + off, len)?;
+        let header = self.read_frame_bytes(locator, 0, FRAME_HEADER_LEN)?;
+        if !frame_header_matches(&header, locator.len, locator.uuid) {
+            coverage::hit("chunk.get_range.corrupt");
+            return Err(ChunkError::Corrupt(*locator));
+        }
+        self.core.state.lock().stats.gets += 1;
+        Ok(bytes)
     }
 
     /// Marks a chunk as probably-dead (a victim-selection hint; liveness
@@ -899,9 +945,6 @@ impl ChunkStore {
                 let payload = self.get(&old)?;
                 let none = self.core.em.scheduler().none();
                 let out = self.put(stream, &payload, &none)?;
-                if std::env::var_os("GC_TRACE").is_some() {
-                    eprintln!("GC: evacuate {} -> {}", old, out.locator);
-                }
                 let ptr_dep = referencer.relocated(&old, &out.locator, &out.data_dep);
                 {
                     let obs = self.core.em.scheduler().obs();
@@ -919,9 +962,6 @@ impl ChunkStore {
                 coverage::hit("chunk.reclaim.drop");
                 dropped += 1;
             }
-        }
-        if std::env::var_os("GC_TRACE").is_some() {
-            eprintln!("GC: reset extent {} (evacuated {evacuated}, dropped {dropped})", extent.0);
         }
         // Reset: pointer to zero, dependent on every evacuation + pointer
         // update, plus the referencer's quiescence point (so a crash can

@@ -626,15 +626,6 @@ impl IoScheduler {
                     buf.extend_from_slice(&data.take().expect("pending write has data"));
                 }
             }
-            if std::env::var_os("IO_TRACE").is_some() {
-                eprintln!(
-                    "IO: write ext {} off {} len {} (nodes {:?})",
-                    extent.0,
-                    offset,
-                    buf.len(),
-                    run
-                );
-            }
             let result =
                 Self::write_with_retry(inner, &self.core.disk, *extent, offset, &buf);
             match result {

@@ -6,18 +6,14 @@
 //! the record with the highest sequence number among valid records wins at
 //! recovery.
 //!
-//! SSTables come in two versions:
-//!
-//! - **v1**: a flat entry list with one trailing CRC over the whole body.
-//!   Still decoded (tables written before the format change remain
-//!   readable) but no longer written.
-//! - **v2**: entries grouped into fixed-size blocks, each with its own
-//!   CRC, followed by a footer holding a per-block fence index
-//!   (min/max key + byte range) and a trailer `[footer_offset, crc]`
-//!   where the CRC covers header + footer + offset. A reader can verify
-//!   and parse the index from the header and tail alone, then decode
-//!   exactly the one block a point lookup needs — the full table is
-//!   never materialized on the hot path.
+//! SSTables are block-indexed (format version 2, the only one): entries
+//! grouped into fixed-size blocks, each with its own CRC, followed by a
+//! footer holding a per-block fence index (min/max key + byte range) and
+//! a trailer `[footer_offset, crc]` where the CRC covers header, footer
+//! and offset. A reader can verify and parse the index from the header
+//! and tail alone, then fetch and decode exactly the one block a point
+//! lookup needs — the full table is never read or materialized on the
+//! hot path. Any other version byte is a typed [`CodecError`].
 
 use shardstore_chunk::Locator;
 use shardstore_vdisk::codec::{crc32, CodecError, Reader, Writer};
@@ -25,10 +21,10 @@ use shardstore_vdisk::ExtentId;
 
 const SSTABLE_MAGIC: &[u8; 4] = b"SSTB";
 const META_MAGIC: &[u8; 4] = b"SSMD";
-/// The flat, single-CRC table format (read-only compatibility).
-pub const FORMAT_VERSION_V1: u16 = 1;
-/// The block-indexed table format (what the tree writes today).
-pub const FORMAT_VERSION_V2: u16 = 2;
+/// The block-indexed table format.
+const SSTABLE_VERSION: u16 = 2;
+/// The metadata record format.
+const META_VERSION: u16 = 1;
 
 /// v2 header: magic (4) + version (2) + entry count (4).
 pub const V2_HEADER_LEN: usize = 10;
@@ -108,20 +104,6 @@ fn read_entry(r: &mut Reader<'_>) -> Result<SsEntry, CodecError> {
     Ok((key, value))
 }
 
-/// Serializes a sorted entry list in the legacy flat v1 format. Kept so
-/// compatibility tests (and recovery of pre-v2 trees) stay honest; the
-/// tree itself writes [`encode_sstable`].
-pub fn encode_sstable_v1(entries: &[SsEntry]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.bytes(SSTABLE_MAGIC).u16(FORMAT_VERSION_V1).u32(entries.len() as u32);
-    for entry in entries {
-        write_entry(&mut w, entry);
-    }
-    let crc = crc32(w.as_bytes());
-    w.u32(crc);
-    w.into_bytes()
-}
-
 /// One block's fence in a v2 table footer: the key range the block
 /// covers and the byte range (within the serialized table) holding it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,7 +150,7 @@ impl TableIndex {
 pub fn encode_sstable(entries: &[SsEntry], block_size: usize) -> Vec<u8> {
     let block_size = block_size.max(1);
     let mut w = Writer::new();
-    w.bytes(SSTABLE_MAGIC).u16(FORMAT_VERSION_V2).u32(entries.len() as u32);
+    w.bytes(SSTABLE_MAGIC).u16(SSTABLE_VERSION).u32(entries.len() as u32);
     let mut fences: Vec<BlockFence> = Vec::new();
     for chunk in entries.chunks(block_size) {
         let mut bw = Writer::new();
@@ -208,16 +190,15 @@ pub fn encode_sstable(entries: &[SsEntry], block_size: usize) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Peeks the format version from the first bytes of a serialized table.
-/// `header` needs only the magic + version prefix, not the whole table.
-pub fn sstable_version(header: &[u8]) -> Result<u16, CodecError> {
+/// Checks the magic + version prefix of a serialized table.
+fn check_sstable_version(header: &[u8]) -> Result<(), CodecError> {
     if header.len() < 6 {
         return Err(CodecError::Truncated { needed: 6, remaining: header.len() });
     }
-    if &header[..4] != SSTABLE_MAGIC {
+    if &header[..4] != SSTABLE_MAGIC || u16::from_le_bytes([header[4], header[5]]) != SSTABLE_VERSION {
         return Err(CodecError::BadValue);
     }
-    Ok(u16::from_le_bytes([header[4], header[5]]))
+    Ok(())
 }
 
 /// Parses and bounds-checks the footer offset from a v2 table's 8-byte
@@ -249,9 +230,7 @@ pub fn decode_index(
     if header.len() != V2_HEADER_LEN || trailer.len() != V2_TRAILER_LEN {
         return Err(CodecError::BadLength);
     }
-    if sstable_version(header)? != FORMAT_VERSION_V2 {
-        return Err(CodecError::BadValue);
-    }
+    check_sstable_version(header)?;
     let footer_off = footer_offset(trailer, total_len)? as usize;
     if footer_off + footer.len() + V2_TRAILER_LEN != total_len {
         return Err(CodecError::BadLength);
@@ -300,13 +279,9 @@ pub fn decode_index(
     Ok(TableIndex { entry_count, fences })
 }
 
-/// Parses the v2 fence index from a fully materialized table. Returns
-/// `None` for v1 tables (which have no index — callers fall back to a
-/// full decode).
-pub fn decode_table_index(bytes: &[u8]) -> Result<Option<TableIndex>, CodecError> {
-    if sstable_version(bytes)? == FORMAT_VERSION_V1 {
-        return Ok(None);
-    }
+/// Parses the v2 fence index from a fully materialized table.
+pub fn decode_table_index(bytes: &[u8]) -> Result<TableIndex, CodecError> {
+    check_sstable_version(bytes)?;
     let len = bytes.len();
     if len < V2_HEADER_LEN + 4 + V2_TRAILER_LEN {
         return Err(CodecError::Truncated { needed: V2_HEADER_LEN + 4 + V2_TRAILER_LEN, remaining: len });
@@ -314,7 +289,6 @@ pub fn decode_table_index(bytes: &[u8]) -> Result<Option<TableIndex>, CodecError
     let trailer = &bytes[len - V2_TRAILER_LEN..];
     let footer_off = footer_offset(trailer, len)? as usize;
     decode_index(&bytes[..V2_HEADER_LEN], &bytes[footer_off..len - V2_TRAILER_LEN], trailer, len)
-        .map(Some)
 }
 
 /// Decodes one v2 block given exactly its bytes and the fence the index
@@ -354,38 +328,10 @@ pub fn decode_block(block: &[u8], fence: &BlockFence) -> Result<Vec<SsEntry>, Co
     Ok(entries)
 }
 
-fn decode_sstable_v1(bytes: &[u8]) -> Result<Vec<SsEntry>, CodecError> {
-    if bytes.len() < 4 {
-        return Err(CodecError::Truncated { needed: 4, remaining: bytes.len() });
-    }
-    let body = &bytes[..bytes.len() - 4];
-    let mut crc_r = Reader::new(&bytes[bytes.len() - 4..]);
-    if crc32(body) != crc_r.u32()? {
-        return Err(CodecError::BadChecksum);
-    }
-    let mut r = Reader::new(body);
-    r.expect(SSTABLE_MAGIC)?;
-    if r.u16()? != FORMAT_VERSION_V1 {
-        return Err(CodecError::BadValue);
-    }
-    let count = r.u32()? as usize;
-    // Minimum entry size is 17 bytes (key + tag); reject absurd counts
-    // before allocating.
-    if count.checked_mul(17).map(|n| n > r.remaining()).unwrap_or(true) {
-        return Err(CodecError::BadLength);
-    }
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        entries.push(read_entry(&mut r)?);
-    }
-    if r.remaining() != 0 {
-        return Err(CodecError::BadLength);
-    }
-    Ok(entries)
-}
-
-fn decode_sstable_v2(bytes: &[u8]) -> Result<Vec<SsEntry>, CodecError> {
-    let index = decode_table_index(bytes)?.ok_or(CodecError::BadValue)?;
+/// Decodes a whole serialized table. Never panics on corrupt input; a
+/// full decode verifies every byte of the table.
+pub fn decode_sstable(bytes: &[u8]) -> Result<Vec<SsEntry>, CodecError> {
+    let index = decode_table_index(bytes)?;
     // Bound the claimed entry count by the bytes actually present
     // (minimum 17 bytes per entry) before allocating.
     let block_bytes: usize = index.fences.iter().map(|f| f.len as usize).sum();
@@ -405,16 +351,6 @@ fn decode_sstable_v2(bytes: &[u8]) -> Result<Vec<SsEntry>, CodecError> {
         return Err(CodecError::BadValue);
     }
     Ok(entries)
-}
-
-/// Decodes SSTable bytes of either format version. Never panics on
-/// corrupt input; a full decode verifies every byte of the table.
-pub fn decode_sstable(bytes: &[u8]) -> Result<Vec<SsEntry>, CodecError> {
-    match sstable_version(bytes)? {
-        FORMAT_VERSION_V1 => decode_sstable_v1(bytes),
-        FORMAT_VERSION_V2 => decode_sstable_v2(bytes),
-        _ => Err(CodecError::BadValue),
-    }
 }
 
 /// A descriptor of one live SSTable in the metadata record.
@@ -439,7 +375,7 @@ pub struct MetadataRecord {
 /// Serializes a metadata record.
 pub fn encode_metadata(record: &MetadataRecord) -> Vec<u8> {
     let mut w = Writer::new();
-    w.bytes(META_MAGIC).u16(FORMAT_VERSION_V1).u64(record.seq).u32(record.tables.len() as u32);
+    w.bytes(META_MAGIC).u16(META_VERSION).u64(record.seq).u32(record.tables.len() as u32);
     for t in &record.tables {
         w.u64(t.id);
         w.u16(t.locators.len() as u16);
@@ -464,7 +400,7 @@ pub fn decode_metadata(bytes: &[u8]) -> Result<MetadataRecord, CodecError> {
     }
     let mut r = Reader::new(body);
     r.expect(META_MAGIC)?;
-    if r.u16()? != FORMAT_VERSION_V1 {
+    if r.u16()? != META_VERSION {
         return Err(CodecError::BadValue);
     }
     let seq = r.u64()?;
@@ -533,24 +469,13 @@ mod tests {
     }
 
     #[test]
-    fn v1_tables_still_decode() {
-        let entries = sample_entries(9);
-        let bytes = encode_sstable_v1(&entries);
-        assert_eq!(sstable_version(&bytes).unwrap(), FORMAT_VERSION_V1);
-        assert_eq!(decode_sstable(&bytes).unwrap(), entries);
-        // And they have no index: readers fall back to a full decode.
-        assert_eq!(decode_table_index(&bytes).unwrap(), None);
-    }
-
-    #[test]
     fn sstable_detects_bit_flips() {
         let entries = vec![(7u128, IndexValue::Present(vec![loc(3, 9)]))];
-        for bytes in [encode_sstable_v1(&entries), encode_sstable(&entries, 4)] {
-            for i in 0..bytes.len() {
-                let mut bad = bytes.clone();
-                bad[i] ^= 0x40;
-                assert!(decode_sstable(&bad).is_err(), "flip at {i} undetected");
-            }
+        let bytes = encode_sstable(&entries, 4);
+        for i in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[i] ^= 0x40;
+            assert!(decode_sstable(&bad).is_err(), "flip at {i} undetected");
         }
     }
 
@@ -568,18 +493,16 @@ mod tests {
     #[test]
     fn sstable_rejects_trailing_garbage() {
         let entries = vec![(7u128, IndexValue::Tombstone)];
-        for encoded in [encode_sstable_v1(&entries), encode_sstable(&entries, 4)] {
-            let mut bytes = encoded;
-            bytes.extend_from_slice(b"junk");
-            assert!(decode_sstable(&bytes).is_err());
-        }
+        let mut bytes = encode_sstable(&entries, 4);
+        bytes.extend_from_slice(b"junk");
+        assert!(decode_sstable(&bytes).is_err());
     }
 
     #[test]
     fn index_routes_point_lookups_to_one_block() {
         let entries = sample_entries(20);
         let bytes = encode_sstable(&entries, 4);
-        let index = decode_table_index(&bytes).unwrap().unwrap();
+        let index = decode_table_index(&bytes).unwrap();
         assert_eq!(index.fences.len(), 5);
         assert_eq!(index.entry_count, 20);
         for (key, value) in &entries {
@@ -607,7 +530,7 @@ mod tests {
         // Keys 0, 5, ..., 95; blocks of 4 cover 20-key spans.
         let entries = sample_entries(20);
         let bytes = encode_sstable(&entries, 4);
-        let index = decode_table_index(&bytes).unwrap().unwrap();
+        let index = decode_table_index(&bytes).unwrap();
         assert_eq!(index.overlapping(0, u128::MAX), 0..5);
         assert_eq!(index.overlapping(0, 15), 0..1);
         assert_eq!(index.overlapping(16, 22), 1..2);
@@ -619,12 +542,12 @@ mod tests {
     fn corrupt_block_fails_decode_but_index_still_parses() {
         let entries = sample_entries(8);
         let mut bytes = encode_sstable(&entries, 4);
-        let index = decode_table_index(&bytes).unwrap().unwrap();
+        let index = decode_table_index(&bytes).unwrap();
         let fence = index.fences[0];
         // Flip a byte inside the first block's body.
         bytes[fence.offset as usize + 6] ^= 0xFF;
         // The index (header + footer + trailer CRC) is untouched...
-        assert_eq!(decode_table_index(&bytes).unwrap().unwrap(), index);
+        assert_eq!(decode_table_index(&bytes).unwrap(), index);
         // ...but the block's own CRC catches the damage, for partial and
         // full readers alike.
         let block = &bytes[fence.offset as usize..(fence.offset + fence.len) as usize];
@@ -636,7 +559,7 @@ mod tests {
     fn block_decode_rejects_wrong_fence() {
         let entries = sample_entries(8);
         let bytes = encode_sstable(&entries, 4);
-        let index = decode_table_index(&bytes).unwrap().unwrap();
+        let index = decode_table_index(&bytes).unwrap();
         let fence = index.fences[0];
         let block = &bytes[fence.offset as usize..(fence.offset + fence.len) as usize];
         // A fence advertising a different key range than the block holds
@@ -668,33 +591,22 @@ mod tests {
 
     #[test]
     fn empty_sstable_roundtrips() {
-        for bytes in [encode_sstable_v1(&[]), encode_sstable(&[], 4)] {
-            assert_eq!(decode_sstable(&bytes).unwrap(), vec![]);
-        }
-        let index = decode_table_index(&encode_sstable(&[], 4)).unwrap().unwrap();
+        let bytes = encode_sstable(&[], 4);
+        assert_eq!(decode_sstable(&bytes).unwrap(), vec![]);
+        let index = decode_table_index(&bytes).unwrap();
         assert_eq!(index.fences.len(), 0);
         assert_eq!(index.locate(0), None);
     }
 
     #[test]
     fn decoders_reject_absurd_counts_without_allocating() {
-        // v1: a header claiming u32::MAX entries.
+        // A footer claiming u32::MAX blocks (with a valid trailer CRC, so
+        // the count guard itself is what rejects it).
         let mut w = Writer::new();
-        w.bytes(SSTABLE_MAGIC).u16(FORMAT_VERSION_V1).u32(u32::MAX);
-        let mut bytes = w.into_bytes();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        assert!(decode_sstable(&bytes).is_err());
-
-        // v2: a footer claiming u32::MAX blocks (with a valid trailer CRC,
-        // so the count guard itself is what rejects it).
-        let mut w = Writer::new();
-        w.bytes(SSTABLE_MAGIC).u16(FORMAT_VERSION_V2).u32(0);
+        w.bytes(SSTABLE_MAGIC).u16(SSTABLE_VERSION).u32(0);
         w.u32(u32::MAX); // footer: absurd block count
         w.u32(V2_HEADER_LEN as u32); // trailer: footer offset
-        let mut covered = w.as_bytes().to_vec();
-        let crc = crc32(&covered);
-        covered.clear();
+        let crc = crc32(w.as_bytes());
         let mut bytes = w.into_bytes();
         bytes.extend_from_slice(&crc.to_le_bytes());
         assert!(matches!(decode_sstable(&bytes), Err(CodecError::BadLength)));
@@ -702,11 +614,15 @@ mod tests {
 
     #[test]
     fn unknown_version_is_rejected() {
-        let mut w = Writer::new();
-        w.bytes(SSTABLE_MAGIC).u16(99).u32(0);
-        let mut bytes = w.into_bytes();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        assert!(matches!(decode_sstable(&bytes), Err(CodecError::BadValue)));
+        // 1 is the retired flat format; it is as unknown as any other.
+        for version in [1u16, 99] {
+            let mut w = Writer::new();
+            w.bytes(SSTABLE_MAGIC).u16(version).u32(0);
+            let mut bytes = w.into_bytes();
+            let crc = crc32(&bytes);
+            bytes.extend_from_slice(&crc.to_le_bytes());
+            assert!(matches!(decode_sstable(&bytes), Err(CodecError::BadValue)));
+            assert!(matches!(decode_table_index(&bytes), Err(CodecError::BadValue)));
+        }
     }
 }

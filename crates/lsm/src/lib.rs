@@ -76,7 +76,7 @@ pub struct LsmConfig {
     /// explicit [`LsmIndex::compact`] calls ignore it). Clamped to at
     /// least 2.
     pub compaction_trigger_tables: usize,
-    /// Maximum entries per SSTable block in the v2 format (clamped to at
+    /// Maximum entries per SSTable block (clamped to at
     /// least 1). Point gets decode exactly one block; smaller blocks
     /// mean less decoded per get but a larger fence index.
     pub block_size: usize,
@@ -280,13 +280,12 @@ const WHOLE_TABLE: u32 = u32::MAX;
 /// LRU cache of decoded tables and blocks, keyed by `(table id, block)`.
 /// Safe against staleness by construction: ids are never reused and
 /// table content is immutable (relocation moves bytes verbatim), so a
-/// cached decode can never go stale. The fence indexes ride along
-/// (`None` marks a v1 table with no index): one small entry per live
-/// table, pruned with the tables.
+/// cached decode can never go stale. The fence indexes ride along: one
+/// small entry per live table, pruned with the tables.
 #[derive(Debug, Default)]
 struct DecodedCache {
     blocks: BTreeMap<(u64, u32), DecodedEntry>,
-    indexes: BTreeMap<u64, Option<Arc<codec::TableIndex>>>,
+    indexes: BTreeMap<u64, Arc<codec::TableIndex>>,
     tick: u64,
 }
 
@@ -490,23 +489,12 @@ impl LsmIndex {
         // record instead of the live one.
         let mut seq_fence = 0u64;
         {
-            let em = index.core.cache.chunk_store().extent_manager();
-            let disk = em.scheduler().disk().clone();
+            let store = index.core.cache.chunk_store();
+            let em = store.extent_manager();
             let extent_size = em.extent_size();
-            let page_size = disk.geometry().page_size;
+            let page_size = em.scheduler().disk().geometry().page_size;
             for extent in em.extents_owned_by(shardstore_superblock::Owner::Metadata) {
-                let raw = {
-                    let mut attempts = 0u32;
-                    loop {
-                        match disk.read(extent, 0, extent_size) {
-                            Err(shardstore_vdisk::IoError::Injected { .. }) if attempts < 3 => {
-                                attempts += 1;
-                            }
-                            other => break other,
-                        }
-                    }
-                };
-                let raw = match raw {
+                let raw = match store.read_raw_extent(extent) {
                     Ok(r) => r,
                     Err(shardstore_vdisk::IoError::Failed { .. }) => {
                         // A permanently dead metadata extent cannot be
@@ -517,11 +505,7 @@ impl LsmIndex {
                         coverage::hit("lsm.recover.fence_quarantined");
                         continue;
                     }
-                    Err(e) => {
-                        return Err(LsmError::Chunk(ChunkError::Extent(
-                            shardstore_superblock::ExtentError::Io(e),
-                        )))
-                    }
+                    Err(e) => return Err(LsmError::Chunk(e.into())),
                 };
                 for frame in shardstore_chunk::scan_extent(
                     &raw,
@@ -681,15 +665,15 @@ impl LsmIndex {
         self.decoded_insert_at(id, WHOLE_TABLE, entries);
     }
 
-    /// Looks up a cached fence index (`Some(None)` = known v1 table).
-    fn index_lookup(&self, id: u64) -> Option<Option<Arc<codec::TableIndex>>> {
+    /// Looks up a cached fence index.
+    fn index_lookup(&self, id: u64) -> Option<Arc<codec::TableIndex>> {
         if self.core.config.decoded_cache_tables == 0 {
             return None;
         }
         self.core.decoded.lock().indexes.get(&id).cloned()
     }
 
-    fn index_insert(&self, id: u64, index: Option<Arc<codec::TableIndex>>) {
+    fn index_insert(&self, id: u64, index: Arc<codec::TableIndex>) {
         if self.core.config.decoded_cache_tables == 0 {
             return;
         }
@@ -733,39 +717,32 @@ impl LsmIndex {
         Ok(entries)
     }
 
-    /// Fetches (and caches) a table's fence index; `None` for v1 tables,
-    /// which have no index and fall back to full decodes. Reads only the
-    /// header and tail bytes of the table, not its blocks.
-    fn table_index(&self, table: &TableSnapshot) -> Result<Option<Arc<codec::TableIndex>>, LsmError> {
+    /// Fetches (and caches) a table's fence index. Reads only the header
+    /// and tail bytes of the table, not its blocks.
+    fn table_index(&self, table: &TableSnapshot) -> Result<Arc<codec::TableIndex>, LsmError> {
         if let Some(cached) = self.index_lookup(table.id) {
             return Ok(cached);
         }
         let total: usize = table.locators.iter().map(|l| l.len as usize).sum();
         let header = self.read_table_slice(&table.locators, 0, total.min(codec::V2_HEADER_LEN))?;
-        let index = if codec::sstable_version(&header)? == codec::FORMAT_VERSION_V1 {
-            None
-        } else {
-            let trailer = self.read_table_slice(
-                &table.locators,
-                total.saturating_sub(codec::V2_TRAILER_LEN),
-                codec::V2_TRAILER_LEN.min(total),
-            )?;
-            let footer_off = codec::footer_offset(&trailer, total).map_err(LsmError::Codec)? as usize;
-            let footer = self.read_table_slice(
-                &table.locators,
-                footer_off,
-                total - codec::V2_TRAILER_LEN - footer_off,
-            )?;
-            Some(Arc::new(
-                codec::decode_index(&header, &footer, &trailer, total).map_err(LsmError::Codec)?,
-            ))
-        };
-        self.index_insert(table.id, index.clone());
+        let trailer = self.read_table_slice(
+            &table.locators,
+            total.saturating_sub(codec::V2_TRAILER_LEN),
+            codec::V2_TRAILER_LEN.min(total),
+        )?;
+        let footer_off = codec::footer_offset(&trailer, total)? as usize;
+        let footer = self.read_table_slice(
+            &table.locators,
+            footer_off,
+            total - codec::V2_TRAILER_LEN - footer_off,
+        )?;
+        let index = Arc::new(codec::decode_index(&header, &footer, &trailer, total)?);
+        self.index_insert(table.id, Arc::clone(&index));
         Ok(index)
     }
 
-    /// Reads one block of a v2 table through the decoded cache, decoding
-    /// only that block's bytes on a miss.
+    /// Reads one block of a table through the decoded cache, fetching and
+    /// decoding only that block's bytes on a miss.
     fn block_entries(
         &self,
         table: &TableSnapshot,
@@ -782,8 +759,7 @@ impl LsmIndex {
         self.core.counters.obs.trace().event(TraceEvent::TableLoad { table: table.id });
         let bytes =
             self.read_table_slice(&table.locators, fence.offset as usize, fence.len as usize)?;
-        let entries =
-            Arc::new(codec::decode_block(&bytes, fence).map_err(LsmError::Codec)?);
+        let entries = Arc::new(codec::decode_block(&bytes, fence)?);
         self.decoded_insert_at(table.id, block as u32, Arc::clone(&entries));
         Ok(entries)
     }
@@ -851,8 +827,8 @@ impl LsmIndex {
     }
 
     /// Reads and reassembles a whole table from its chunks, decoding
-    /// every entry (recovery, merges, and v1 tables; point gets on v2
-    /// tables use [`LsmIndex::block_entries`] instead).
+    /// every entry (recovery and merges; point gets and scans use
+    /// [`LsmIndex::block_entries`] instead).
     fn read_table(&self, locators: &[Locator]) -> Result<Vec<codec::SsEntry>, LsmError> {
         let mut bytes = Vec::new();
         for locator in locators {
@@ -863,9 +839,9 @@ impl LsmIndex {
     }
 
     /// Reads the byte subrange `[off, off + len)` of a serialized table,
-    /// touching only the chunks that overlap it. Locator lengths are
-    /// payload lengths, so prefix sums give each chunk's position in the
-    /// reassembled table.
+    /// fetching from each overlapping chunk only the bytes inside it.
+    /// Locator lengths are payload lengths, so prefix sums give each
+    /// chunk's position in the reassembled table.
     fn read_table_slice(
         &self,
         locators: &[Locator],
@@ -873,24 +849,31 @@ impl LsmIndex {
         len: usize,
     ) -> Result<Vec<u8>, LsmError> {
         let end = off + len;
-        let mut out = Vec::with_capacity(len);
+        let mut out = Vec::new();
         let mut pos = 0usize;
+        // HOT-PATH-BEGIN(lsm-block-read): a slice costs ranged chunk reads
+        // of the bytes it names — never a whole-chunk get, whose cost
+        // would grow with the table rather than with the block. A slice
+        // inside one chunk (all but the rare block straddling a chunk
+        // boundary) is moved out as read; further pieces are appended.
         for locator in locators {
             let chunk_end = pos + locator.len as usize;
             if chunk_end > off && pos < end {
-                let bytes = self.core.cache.get(locator)?;
                 let from = off.saturating_sub(pos);
-                let to = (end - pos).min(bytes.len());
-                if from > bytes.len() || from > to {
-                    return Err(LsmError::Codec(CodecError::BadLength));
+                let to = end.min(chunk_end) - pos;
+                let mut piece = self.core.cache.get_range(locator, from, to - from)?;
+                if out.is_empty() {
+                    out = piece;
+                } else {
+                    out.append(&mut piece);
                 }
-                out.extend_from_slice(&bytes[from..to]);
             }
             pos = chunk_end;
             if pos >= end {
                 break;
             }
         }
+        // HOT-PATH-END(lsm-block-read)
         if out.len() != len {
             return Err(LsmError::Codec(CodecError::BadLength));
         }
@@ -1075,7 +1058,8 @@ impl LsmIndex {
                 // answers without consulting the fence index.
                 coverage::hit("lsm.decoded.hit");
                 Some(entries)
-            } else if let Some(index) = self.table_index(table)? {
+            } else {
+                let index = self.table_index(table)?;
                 // HOT-PATH-BEGIN(lsm-block-decode): the certified point
                 // lookup on a block-indexed table routes through the
                 // fence index to the one block that can hold the key and
@@ -1089,9 +1073,6 @@ impl LsmIndex {
                     Some(b) => Some(self.block_entries(table, b, &index.fences[b])?),
                 }
                 // HOT-PATH-END(lsm-block-decode)
-            } else {
-                // v1 table: no index, decode it whole.
-                Some(self.table_entries(table)?)
             };
             let Some(entries) = entries else { continue };
             match entries.binary_search_by_key(&key, |(k, _)| *k) {
@@ -1243,9 +1224,8 @@ impl LsmIndex {
     }
 
     /// Merges one table's entries within `[start, end]` into `merged`.
-    /// On a block-indexed table the fence index seeks straight to the
-    /// overlapping blocks (a warm whole-table decode is used when
-    /// available); v1 tables decode whole.
+    /// The fence index seeks straight to the overlapping blocks (a warm
+    /// whole-table decode is used when available).
     fn scan_table_range(
         &self,
         table: &TableSnapshot,
@@ -1261,21 +1241,14 @@ impl LsmIndex {
             }
             return Ok(());
         }
-        if let Some(index) = self.table_index(table)? {
-            for b in index.overlapping(start, end) {
-                coverage::hit("lsm.scan.block_seek");
-                let entries = self.block_entries(table, b, &index.fences[b])?;
-                let from = entries.partition_point(|(k, _)| *k < start);
-                for (k, v) in entries[from..].iter().take_while(|(k, _)| *k <= end) {
-                    merged.insert(*k, v.clone());
-                }
+        let index = self.table_index(table)?;
+        for b in index.overlapping(start, end) {
+            coverage::hit("lsm.scan.block_seek");
+            let entries = self.block_entries(table, b, &index.fences[b])?;
+            let from = entries.partition_point(|(k, _)| *k < start);
+            for (k, v) in entries[from..].iter().take_while(|(k, _)| *k <= end) {
+                merged.insert(*k, v.clone());
             }
-            return Ok(());
-        }
-        let entries = self.table_entries(table)?;
-        let from = entries.partition_point(|(k, _)| *k < start);
-        for (k, v) in entries[from..].iter().take_while(|(k, _)| *k <= end) {
-            merged.insert(*k, v.clone());
         }
         Ok(())
     }

@@ -712,3 +712,139 @@ mod refs_sync_props {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Block-ranged table reads: a lookup reads the bytes its fence index names,
+// not the chunks that hold them.
+// ---------------------------------------------------------------------------
+
+use shardstore_chunk::FRAME_HEADER_LEN;
+use shardstore_lsm::codec::{self, IndexValue, SsEntry};
+use shardstore_lsm::LsmError;
+use shardstore_vdisk::codec::CodecError;
+
+/// 64 pages × 4 KiB per extent: the geometry class the file-backed
+/// benchmark runs on (one table chunk is up to one 256 KiB extent).
+fn block_read_geometry() -> Geometry {
+    Geometry::new(32, 64, 4096)
+}
+
+/// Flushes `n` keys (`3k` for `k < n`) as one durable table on the large
+/// geometry and returns the index, the table's exact serialized bytes and
+/// its chunk locators in table order.
+fn big_table(n: u128) -> (LsmIndex, Vec<u8>, Vec<Locator>) {
+    let index = setup_with(block_read_geometry(), FaultConfig::none());
+    let entries: Vec<SsEntry> =
+        (0..n).map(|k| (k * 3, IndexValue::Present(vec![loc(3, k as u32, k)]))).collect();
+    for (key, value) in &entries {
+        let IndexValue::Present(locators) = value else { unreachable!() };
+        index.put2(*key, locators.clone());
+    }
+    index.flush().unwrap();
+    pump(&index);
+    assert_eq!(index.table_count(), 1);
+    let bytes = codec::encode_sstable(&entries, LsmConfig::default().block_size);
+    // The store is fresh, so the LSM-owned chunks are exactly this table's,
+    // registered in append order; the reassembled payloads prove it.
+    let store = index.cache().chunk_store();
+    let chunks: Vec<Locator> = store
+        .registered_locators()
+        .into_iter()
+        .filter(|l| store.extent_manager().owner(l.extent) == shardstore_superblock::Owner::LsmData)
+        .collect();
+    let on_disk: Vec<u8> = chunks.iter().flat_map(|l| store.get(l).unwrap()).collect();
+    assert_eq!(on_disk, bytes, "table chunks are not the encoded table");
+    (index, bytes, chunks)
+}
+
+fn drop_caches(index: &LsmIndex) {
+    index.drop_decoded_cache();
+    index.cache().clear();
+}
+
+#[test]
+fn point_get_reads_the_block_not_the_table() {
+    let n = 8000u128;
+    let (index, bytes, chunks) = big_table(n);
+    let table_index = codec::decode_table_index(&bytes).unwrap();
+    assert!(chunks.len() >= 2, "table must span chunks, got {}", chunks.len());
+    assert!(table_index.fences.len() >= 64, "table must have >= 64 blocks");
+    let disk = index.cache().chunk_store().extent_manager().scheduler().disk().clone();
+    let page = disk.geometry().page_size as u64;
+    let max_block = table_index.fences.iter().map(|f| u64::from(f.len)).max().unwrap();
+    let footer_len = 4 + 40 * table_index.fences.len() as u64;
+    let index_bytes = codec::V2_HEADER_LEN as u64 + footer_len + codec::V2_TRAILER_LEN as u64;
+    // Every ranged chunk read also fetches one frame header; a slice that
+    // straddles a chunk boundary costs two such reads. Header, trailer,
+    // footer and block: at most eight.
+    let frame_headers = 8 * FRAME_HEADER_LEN as u64;
+
+    drop_caches(&index);
+    let before = disk.stats().bytes_read;
+    assert_eq!(index.get(3 * 1234).unwrap(), Some(vec![loc(3, 1234, 1234)]));
+    let cold = disk.stats().bytes_read - before;
+    assert!(
+        cold <= index_bytes + max_block + frame_headers,
+        "cold get read {cold} B; index is {index_bytes} B, a block at most {max_block} B"
+    );
+
+    // Second get into the same table, another block: the index is cached,
+    // so only that block is read.
+    let before = disk.stats().bytes_read;
+    assert_eq!(index.get(3 * 7001).unwrap(), Some(vec![loc(3, 7001, 7001)]));
+    let warm = disk.stats().bytes_read - before;
+    assert!(warm <= 2 * page, "index-cached get read {warm} B, more than two pages");
+    assert!(warm >= u64::from(table_index.fences[0].len), "the block itself must be read");
+
+    // A 64-key scan reads the blocks its range overlaps, nothing else.
+    let before = disk.stats().bytes_read;
+    let hits = index.scan(3 * 4000, 3 * 4063).unwrap();
+    assert_eq!(hits.len(), 64);
+    let scanned = disk.stats().bytes_read - before;
+    assert!(scanned <= 5 * (max_block + 2 * FRAME_HEADER_LEN as u64), "64-key scan read {scanned} B");
+
+    // None of it scales with the table.
+    assert!(bytes.len() as u64 > 8 * (cold + warm + scanned), "table too small to tell");
+}
+
+#[test]
+fn corrupt_block_fails_its_keys_and_spares_its_neighbours() {
+    let (index, bytes, chunks) = big_table(2000);
+    let table_index = codec::decode_table_index(&bytes).unwrap();
+    let victim = 40usize;
+    let fence = table_index.fences[victim];
+    // Map a table offset inside the victim block to its byte on the medium.
+    let mut at = fence.offset as usize + 9;
+    let chunk = chunks
+        .iter()
+        .find(|l| {
+            if at < l.len as usize {
+                return true;
+            }
+            at -= l.len as usize;
+            false
+        })
+        .unwrap();
+    let disk = index.cache().chunk_store().extent_manager().scheduler().disk().clone();
+    let pos = chunk.offset as usize + FRAME_HEADER_LEN + at;
+    let old = disk.read(chunk.extent, pos, 1).unwrap()[0];
+    disk.write(chunk.extent, pos, &[old ^ 0x10]).unwrap();
+    disk.flush_extent(chunk.extent).unwrap();
+    drop_caches(&index);
+
+    let key_in = |block: usize| table_index.fences[block].min_key + 3;
+    // The damaged block's keys fail with a typed error — never locators.
+    for key in [fence.min_key, key_in(victim), fence.max_key] {
+        assert_eq!(index.get(key), Err(LsmError::Codec(CodecError::BadChecksum)), "key {key}");
+    }
+    assert!(index.scan(fence.min_key, fence.max_key).is_err());
+    // Keys in the neighbouring blocks (and a scan that stays inside one)
+    // still read correctly: the damage is scoped to the block.
+    for block in [victim - 1, victim + 1] {
+        let key = key_in(block);
+        let k = key / 3;
+        assert_eq!(index.get(key).unwrap(), Some(vec![loc(3, k as u32, k)]), "block {block}");
+    }
+    let next = table_index.fences[victim + 1];
+    assert_eq!(index.scan(next.min_key, next.max_key).unwrap().len(), 16);
+}

@@ -708,15 +708,6 @@ impl ExtentManager {
         st.pending_sb_gen = st.generation;
         st.inflight_sb.push(dep.clone());
         coverage::hit("superblock.update.new_write");
-        if std::env::var_os("SB_TRACE").is_some() {
-            eprintln!(
-                "SB new write: gen {} slot {} ptr3={} force_new={}",
-                st.generation,
-                slot,
-                st.extents[3].write_ptr,
-                force_new
-            );
-        }
         (dep, true)
     }
 

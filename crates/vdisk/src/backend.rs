@@ -225,22 +225,32 @@ impl<M: DurableMedium> StorageBackend for PagedBackend<M> {
 
     fn read(&self, extent: ExtentId, offset: usize, len: usize) -> Result<Vec<u8>, IoError> {
         self.check_range(extent, offset, len)?;
-        let mut st = self.state.lock();
-        Self::check_failures(&mut st, extent)?;
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        Self::check_failures(st, extent)?;
         let ps = self.geometry.page_size;
+        let end = offset + len;
         let mut out = vec![0u8; len];
+        // Walk only the cached pages inside the range; every gap between
+        // them is one contiguous run of durable pages and costs one
+        // medium read (one `pread`), however many pages it spans.
         let mut pos = 0usize;
-        while pos < len {
-            let abs = offset + pos;
-            let page = (abs / ps) as u32;
-            let page_start = page as usize * ps;
-            let in_page = abs - page_start;
-            let take = (ps - in_page).min(len - pos);
-            match st.volatile.get(&(extent.0, page)) {
-                Some(image) => out[pos..pos + take].copy_from_slice(&image[in_page..in_page + take]),
-                None => st.durable.read_durable(extent.0, abs, &mut out[pos..pos + take])?,
+        if len > 0 {
+            let pages = (extent.0, (offset / ps) as u32)..=(extent.0, ((end - 1) / ps) as u32);
+            for (&(_, page), image) in st.volatile.range(pages) {
+                let page_start = page as usize * ps;
+                let from = page_start.max(offset);
+                let to = (page_start + ps).min(end);
+                if from - offset > pos {
+                    st.durable.read_durable(extent.0, offset + pos, &mut out[pos..from - offset])?;
+                }
+                out[from - offset..to - offset]
+                    .copy_from_slice(&image[from - page_start..to - page_start]);
+                pos = to - offset;
             }
-            pos += take;
+        }
+        if pos < len {
+            st.durable.read_durable(extent.0, offset + pos, &mut out[pos..])?;
         }
         st.stats.reads += 1;
         st.stats.bytes_read += len as u64;

@@ -311,3 +311,72 @@ proptest! {
         prop_assert!(disk.read(pe, 0, 8).is_ok());
     }
 }
+
+/// Builds a small disk on the named backend (`file` volumes unlink on drop).
+fn disk_on(backend: &str, geometry: Geometry) -> std::sync::Arc<Disk> {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    static SEQ: AtomicU32 = AtomicU32::new(0);
+    if backend == "memory" {
+        return Disk::new(geometry);
+    }
+    let mut path = std::env::temp_dir();
+    path.push(format!(
+        "shardstore-disk-props-{}-{}.vol",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    Disk::create_file(path, geometry, false, true).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The coalesced `read` (one medium read per run of durable pages)
+    /// returns exactly what a page-by-page read of the same range does,
+    /// on both backends, over random mixes of durable and still-volatile
+    /// pages — and each call counts one `reads`, `len` `bytes_read` and
+    /// consumes exactly one injected fault, however many pages it spans.
+    #[test]
+    fn coalesced_read_matches_pagewise_reference(
+        backend in prop_oneof![Just("memory"), Just("file")],
+        durable_writes in proptest::collection::vec((0usize..1024, proptest::collection::vec(any::<u8>(), 1..300)), 0..6),
+        volatile_writes in proptest::collection::vec((0usize..1024, proptest::collection::vec(any::<u8>(), 1..200)), 0..6),
+        ranges in proptest::collection::vec((0usize..1024, 0usize..1024), 1..8),
+    ) {
+        use shardstore_vdisk::IoError;
+        let geometry = Geometry::small();
+        let size = geometry.extent_size();
+        let ps = geometry.page_size;
+        let disk = disk_on(backend, geometry);
+        let e = ExtentId(3);
+        for (offset, data) in &durable_writes {
+            disk.write(e, *offset, &data[..data.len().min(size - offset)]).unwrap();
+        }
+        disk.flush_extent(e).unwrap();
+        for (offset, data) in &volatile_writes {
+            disk.write(e, *offset, &data[..data.len().min(size - offset)]).unwrap();
+        }
+        for (offset, len) in ranges {
+            let len = len.min(size - offset);
+            // Reference: the same bytes fetched one page at a time (each
+            // such read is a single cached image or a single medium read).
+            let mut expect = Vec::with_capacity(len);
+            let mut at = offset;
+            while at < offset + len {
+                let take = (ps - at % ps).min(offset + len - at);
+                expect.extend_from_slice(&disk.read(e, at, take).unwrap());
+                at += take;
+            }
+            let base = disk.stats();
+            disk.inject_fail_times(e, 1);
+            let failed = disk.read(e, offset, len);
+            prop_assert!(matches!(failed, Err(IoError::Injected { .. })), "{failed:?}");
+            let got = disk.read(e, offset, len).unwrap();
+            prop_assert_eq!(&got, &expect, "range {}+{} diverged", offset, len);
+            let stats = disk.stats();
+            prop_assert_eq!(stats.injected_failures, base.injected_failures + 1);
+            prop_assert_eq!(stats.reads, base.reads + 1);
+            prop_assert_eq!(stats.bytes_read, base.bytes_read + len as u64);
+        }
+    }
+}
