@@ -169,7 +169,7 @@ fn check_no_invented_reads(path: &PathBuf, expect: &[(u128, Vec<u8>)]) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Truncating any suffix of the volume file either fails validation
     /// outright or recovers without inventing data.

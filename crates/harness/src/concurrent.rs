@@ -19,17 +19,11 @@ use shardstore_faults::FaultConfig;
 use shardstore_superblock::{ExtentManager, Owner};
 use shardstore_vdisk::{Disk, Geometry};
 
+use crate::enable_background;
 use crate::lin::{check_linearizable, HistoryRecorder, KvLinOp, KvLinRet, KvSpec};
 
 fn small_store(faults: &FaultConfig) -> Store {
     Store::format(Geometry::small(), StoreConfig::small(), faults.clone())
-}
-
-/// Switches a scheduler to the background writeback engine (used by the
-/// `*_background_harness` variants of the seeded-bug harnesses).
-fn enable_background(sched: &IoScheduler) {
-    use shardstore_dependency::{WritebackConfig, WritebackMode};
-    sched.set_writeback_mode(WritebackMode::Background(WritebackConfig::default()));
 }
 
 /// The Fig. 4 harness, verbatim in structure: initialize the index with a
@@ -108,7 +102,6 @@ pub fn fig4_background_harness(
     faults: FaultConfig,
     options: CheckOptions,
 ) -> Result<CheckReport, CheckError> {
-    use shardstore_dependency::{WritebackConfig, WritebackMode};
     check(options, move || {
         let store = small_store(&faults);
         for k in 0..4u128 {
@@ -122,7 +115,7 @@ pub fn fig4_background_harness(
             .extent_manager()
             .extents_owned_by(Owner::LsmData);
         let sched = store.scheduler();
-        sched.set_writeback_mode(WritebackMode::Background(WritebackConfig::default()));
+        enable_background(&sched);
 
         let s1 = store.clone();
         let t1 = thread::spawn(move || {

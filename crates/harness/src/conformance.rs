@@ -3,25 +3,29 @@
 //!
 //! The runner applies each operation in a sequence to both the
 //! implementation (a full [`Store`] over the in-memory disk) and the
-//! reference model ([`KvModel`]), compares the results (the paper's
-//! `compare_results!`), and after each operation checks the invariant that
-//! both hold the same key-value mapping.
+//! reference model ([`shardstore_model::KvModel`]), compares the results
+//! (the paper's `compare_results!`), and after each operation checks the
+//! invariant that both hold the same key-value mapping. The driving is
+//! `interp`'s, the judging the `Strict` oracle's below; this
+//! module holds the configuration and report types every frontend
+//! shares, and the frontend itself.
 //!
 //! Once an injected failure has fired, the strict equivalence is relaxed
 //! by the "has failed" flag: an operation may fail or lose data relative
 //! to the model, but may **never return wrong data** — any bytes returned
 //! must be some value that was actually written to that key (§4.4).
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
 
-use shardstore_core::{Store, StoreConfig, StoreError, ValueBuf};
+use shardstore_core::{Node, Store, StoreConfig};
 use shardstore_faults::FaultConfig;
 use shardstore_model::KvModel;
-use shardstore_vdisk::{CrashPlan, Geometry};
+use shardstore_vdisk::Geometry;
 
+use crate::interp::{Observation, Run, Write};
 use crate::ops::KvOp;
+use crate::oracle::{check_listing, fault_excuses, judge_get, judge_scan, triage, Oracle, Triage};
 
 /// A divergence between implementation and model.
 #[derive(Debug, Clone)]
@@ -41,6 +45,18 @@ pub struct Divergence {
 }
 
 impl Divergence {
+    /// A divergence observed at operation `op_index`, with no timeline
+    /// attached yet.
+    pub(crate) fn at(op_index: usize, op: &impl fmt::Debug, detail: impl Into<String>) -> Self {
+        Self {
+            op_index,
+            op: format!("{op:?}"),
+            detail: detail.into(),
+            timeline: String::new(),
+            dropped_events: 0,
+        }
+    }
+
     /// Attaches the tail of the store's trace log, rendered per-op, plus
     /// the causal timeline of the most recent request, so a minimized
     /// counterexample carries the events that led up to it.
@@ -113,6 +129,30 @@ impl ConformanceConfig {
         self.background_writeback = true;
         self
     }
+
+    /// Formats the store under test. Reboots reuse the same scheduler,
+    /// so the writeback mode survives every recovery in the sequence.
+    pub(crate) fn fresh_store(&self) -> Store {
+        let store = Store::format(self.geometry, self.store.clone(), self.faults.clone());
+        if self.background_writeback {
+            crate::enable_background(&store.scheduler());
+        }
+        store
+    }
+
+    /// Builds the node under test, every disk in the configured
+    /// writeback mode.
+    pub(crate) fn fresh_node(&self, num_disks: usize) -> Node {
+        let node = Node::new(num_disks, self.geometry, self.store.clone(), self.faults.clone());
+        if self.background_writeback {
+            for disk in 0..num_disks {
+                if let Some(store) = node.store(disk) {
+                    crate::enable_background(&store.scheduler());
+                }
+            }
+        }
+        node
+    }
 }
 
 /// Statistics from a successful run.
@@ -125,93 +165,6 @@ pub struct RunReport {
     pub skipped_no_space: usize,
     /// Whether any injected failure fired (the relaxation was active).
     pub has_failed: bool,
-}
-
-/// Shared per-run state used by both the conformance and crash runners.
-pub(crate) struct RunCtx {
-    pub store: Store,
-    pub puts_so_far: Vec<u128>,
-    pub history: BTreeMap<u128, Vec<Arc<Vec<u8>>>>,
-    pub has_failed: bool,
-    /// Keys whose state is ambiguous because an operation *on them*
-    /// failed, or because a failed background operation left the whole
-    /// store in an ambiguous state. Only uncertain keys are exempt from
-    /// the strict presence checks — this precision is what lets the
-    /// checker catch bugs like issue #5, where a reclamation silently
-    /// swallowed an IO error and lost data for keys no failed operation
-    /// ever touched.
-    pub uncertain: std::collections::BTreeSet<u128>,
-    pub skipped_no_space: usize,
-}
-
-impl RunCtx {
-    pub fn new(cfg: &ConformanceConfig) -> Self {
-        let store = Store::format(cfg.geometry, cfg.store.clone(), cfg.faults.clone());
-        if cfg.background_writeback {
-            // Reboots reuse the same scheduler, so the mode survives
-            // every recovery in the sequence.
-            store.scheduler().set_writeback_mode(
-                shardstore_dependency::WritebackMode::Background(
-                    shardstore_dependency::WritebackConfig::default(),
-                ),
-            );
-        }
-        Self {
-            store,
-            puts_so_far: Vec::new(),
-            history: BTreeMap::new(),
-            has_failed: false,
-            uncertain: std::collections::BTreeSet::new(),
-            skipped_no_space: 0,
-        }
-    }
-
-    /// Marks every key (model-side and implementation-side) uncertain —
-    /// used when a failed background operation (flush, reclaim, shutdown,
-    /// pump) leaves no way to attribute ambiguity to specific keys.
-    pub fn mark_all_uncertain(&mut self, model_keys: impl IntoIterator<Item = u128>) {
-        self.uncertain.extend(model_keys);
-        if let Ok(keys) = self.store.list() {
-            self.uncertain.extend(keys);
-        }
-        self.uncertain.extend(self.history.keys().copied());
-    }
-
-    /// Records a written value for the never-wrong-data check.
-    pub fn record_write(&mut self, key: u128, value: Arc<Vec<u8>>) {
-        self.puts_so_far.push(key);
-        self.history.entry(key).or_default().push(value);
-    }
-
-    /// True if `bytes` was ever written to `key`.
-    pub fn was_written(&self, key: u128, bytes: &[u8]) -> bool {
-        self.history.get(&key).map(|h| h.iter().any(|v| ***v == *bytes)).unwrap_or(false)
-    }
-
-    /// Treats an error as tolerable only when a failure was injected.
-    pub fn tolerate(&self, e: &StoreError) -> bool {
-        self.has_failed && !matches!(e, StoreError::OutOfService)
-    }
-}
-
-fn diverge(op_index: usize, op: &KvOp, detail: impl Into<String>) -> Divergence {
-    Divergence {
-        op_index,
-        op: format!("{op:?}"),
-        detail: detail.into(),
-        timeline: String::new(),
-        dropped_events: 0,
-    }
-}
-
-fn is_no_space(e: &StoreError) -> bool {
-    matches!(
-        e,
-        StoreError::Chunk(shardstore_chunk::ChunkError::NoSpace { .. })
-            | StoreError::Lsm(shardstore_lsm::LsmError::Chunk(
-                shardstore_chunk::ChunkError::NoSpace { .. }
-            ))
-    )
 }
 
 /// Runs a sequence of crash-free operations, checking conformance against
@@ -232,408 +185,148 @@ pub fn run_conformance(ops: &[KvOp], cfg: &ConformanceConfig) -> Result<RunRepor
     Ok(outcome.report)
 }
 
-/// One conformance step: applies `op` to both implementation and model
-/// and compares the outcomes (§4.1, with the §4.4 relaxation).
-pub(crate) fn apply_op(
-    ctx: &mut RunCtx,
-    model: &mut KvModel,
-    i: usize,
-    op: &KvOp,
-    page_size: usize,
-    cfg: &ConformanceConfig,
-) -> Result<(), Divergence> {
-    match op {
-        KvOp::Get(kr) => {
-            let key = kr.resolve(&ctx.puts_so_far);
-            let got = ctx.store.get(key);
-            let expected = model.get(key);
-            compare_get(ctx, i, op, key, got, expected)?;
-        }
-        KvOp::Put(kr, spec) => {
-            let key = kr.resolve(&ctx.puts_so_far);
-            let value = Arc::new(spec.materialize(key, page_size));
-            match ctx.store.put(key, &value) {
-                Ok(_dep) => {
-                    model.put(key, &value);
-                    ctx.record_write(key, value);
-                }
-                Err(e) if is_no_space(&e) => {
-                    // Resource exhaustion: out of scope (§4.4); the model
-                    // is not updated so both sides stay equivalent.
-                    ctx.skipped_no_space += 1;
-                }
-                Err(e) if ctx.tolerate(&e) => {
-                    // The put may have partially applied: the key's state
-                    // is ambiguous between the old and new value.
-                    ctx.record_write(key, value);
-                    ctx.uncertain.insert(key);
-                }
-                Err(e) => return Err(diverge(i, op, format!("put failed: {e}"))),
-            }
-        }
-        KvOp::PutBatch(elems) => {
-            // All key references resolve against the state before the
-            // batch; the batch itself is atomic per element (equivalent
-            // to the puts applied in order).
-            let batch: Vec<(u128, Arc<Vec<u8>>)> = elems
-                .iter()
-                .map(|(kr, spec)| {
-                    let key = kr.resolve(&ctx.puts_so_far);
-                    (key, Arc::new(spec.materialize(key, page_size)))
-                })
-                .collect();
-            let arg: Vec<(u128, Vec<u8>)> =
-                batch.iter().map(|(k, v)| (*k, v.to_vec())).collect();
-            match ctx.store.put_batch(&arg) {
-                Ok(_deps) => {
-                    for (key, value) in batch {
-                        model.put(key, &value);
-                        ctx.record_write(key, value);
-                    }
-                }
-                Err(e) if is_no_space(&e) => {
-                    ctx.skipped_no_space += 1;
-                }
-                Err(e) if ctx.tolerate(&e) => {
-                    // Any prefix of the batch may have applied: every
-                    // batched key's state is ambiguous.
-                    for (key, value) in batch {
-                        ctx.record_write(key, value);
-                        ctx.uncertain.insert(key);
-                    }
-                }
-                Err(e) => return Err(diverge(i, op, format!("put_batch failed: {e}"))),
-            }
-        }
-        KvOp::Delete(kr) => {
-            let key = kr.resolve(&ctx.puts_so_far);
-            match ctx.store.delete(key) {
-                Ok(_dep) => {
-                    model.delete(key);
-                }
-                Err(e) if is_no_space(&e) => {
-                    ctx.skipped_no_space += 1;
-                }
-                Err(e) if ctx.tolerate(&e) => {
-                    ctx.uncertain.insert(key);
-                }
-                Err(e) => return Err(diverge(i, op, format!("delete failed: {e}"))),
-            }
-        }
-        KvOp::Scan(a, b) => {
-            let ka = a.resolve(&ctx.puts_so_far);
-            let kb = b.resolve(&ctx.puts_so_far);
-            let (start, end) = (ka.min(kb), ka.max(kb));
-            let got = ctx.store.scan(start, end);
-            let expected = model.scan(start, end);
-            compare_scan(ctx, i, op, start, end, got, expected)?;
-        }
-        KvOp::IndexFlush => {
-            if let Err(e) = ctx.store.flush_index() {
-                if !ctx.tolerate(&e) && !is_no_space(&e) {
-                    return Err(diverge(i, op, format!("flush failed: {e}")));
-                }
-                ctx.mark_all_uncertain(model.list());
-            }
-        }
-        KvOp::Compact => {
-            if let Err(e) = ctx.store.compact_index() {
-                if !ctx.tolerate(&e) && !is_no_space(&e) {
-                    return Err(diverge(i, op, format!("compact failed: {e}")));
-                }
-                ctx.mark_all_uncertain(model.list());
-            }
-        }
-        KvOp::Reclaim(stream) => {
-            if let Err(e) = ctx.store.reclaim(*stream) {
-                if !ctx.tolerate(&e) && !is_no_space(&e) {
-                    return Err(diverge(i, op, format!("reclaim failed: {e}")));
-                }
-                ctx.mark_all_uncertain(model.list());
-            }
-        }
-        KvOp::CacheDrop => {
-            ctx.store.drop_caches();
-        }
-        KvOp::Pump(n) => {
-            let sched = ctx.store.scheduler();
-            if let Err(e) = sched.issue_ready(*n as usize).and_then(|_| sched.flush_issued()) {
-                if !ctx.has_failed {
-                    return Err(diverge(i, op, format!("pump failed: {e}")));
-                }
-                ctx.mark_all_uncertain(model.list());
-            }
-        }
-        KvOp::Reboot => {
-            // A genuinely full disk can leave the shutdown flush nowhere
-            // to write even after reclamation (§4.4 resource exhaustion):
-            // the memtable's keys — and only those — may come back stale
-            // or absent after the reboot. Capture them so the model can
-            // be reconciled below; flushed state must still survive, and
-            // the reconciliation insists any surviving value was actually
-            // written (never-wrong-data is not relaxed).
-            let mut lost_unflushed: Vec<u128> = Vec::new();
-            if let Err(e) = ctx.store.clean_shutdown() {
-                if !ctx.tolerate(&e) && !is_no_space(&e) {
-                    return Err(diverge(i, op, format!("clean shutdown failed: {e}")));
-                }
-                lost_unflushed = ctx.store.unflushed_keys();
-                ctx.mark_all_uncertain(model.list());
-            }
-            // Everything must be durable after a clean shutdown: recover
-            // from the disk alone.
-            match ctx.store.dirty_reboot(&CrashPlan::LoseAll) {
-                Ok(recovered) => ctx.store = recovered,
-                Err(e) => {
-                    if !ctx.has_failed {
-                        return Err(diverge(i, op, format!("recovery failed: {e}")));
-                    }
-                    // Recovery blocked by a permanent injected failure:
-                    // re-create the store to keep the run going.
-                    ctx.store.scheduler().disk().clear_failures();
-                    ctx.store = ctx
-                        .store
-                        .dirty_reboot(&CrashPlan::LoseAll)
-                        .map_err(|e| diverge(i, op, format!("recovery failed twice: {e}")))?;
-                }
-            }
-            for key in lost_unflushed {
-                match ctx.store.get(key) {
-                    Ok(Some(v)) => {
-                        if model.get(key).map(|e| **e == *v).unwrap_or(false) {
-                            continue;
-                        }
-                        if !ctx.was_written(key, &v) {
-                            return Err(diverge(
-                                i,
-                                op,
-                                format!(
-                                    "key {key} returned bytes never written after a \
-                                     no-space shutdown"
-                                ),
-                            ));
-                        }
-                        model.put(key, &v);
-                    }
-                    Ok(None) => {
-                        model.delete(key);
-                    }
-                    Err(_) if ctx.has_failed => {}
-                    Err(e) => {
-                        return Err(diverge(
-                            i,
-                            op,
-                            format!("get({key}) failed after a no-space shutdown: {e}"),
-                        ));
-                    }
-                }
-            }
-        }
-        KvOp::DirtyReboot(_) => {
-            // Only meaningful in the crash runner; treated as a no-op here
-            // so alphabets can be shared.
-        }
-        KvOp::FailDiskOnce(raw) => {
-            let disk = ctx.store.scheduler().disk().clone();
-            let target = KvOp::fail_target(*raw, cfg.geometry.extent_count);
-            disk.inject_fail_once(target);
-            ctx.has_failed = true;
-        }
-    }
-    Ok(())
+/// Crash-free refinement against [`KvModel`] (§4.1): strict equality,
+/// relaxed per *uncertain* key once a fault has been injected (§4.4).
+#[derive(Default)]
+pub(crate) struct Strict {
+    pub model: KvModel,
 }
 
-fn compare_get(
-    ctx: &RunCtx,
-    i: usize,
-    op: &KvOp,
-    key: u128,
-    got: Result<Option<Vec<u8>>, StoreError>,
-    expected: Option<Arc<Vec<u8>>>,
-) -> Result<(), Divergence> {
-    let uncertain = ctx.uncertain.contains(&key);
-    match (got, expected, ctx.has_failed) {
-        (Ok(None), None, _) => Ok(()),
-        (Ok(Some(g)), Some(e), _) if *g == **e => Ok(()),
-        // An operation itself erroring is tolerated once failures are in
-        // play (the disk really can fail reads).
-        (Err(_), _, true) => Ok(()),
-        // Missing or stale data is tolerated only for keys whose own
-        // state is ambiguous — never as a blanket pass. Silent data loss
-        // for untouched keys (the issue #5 signature) stays a violation.
-        (Ok(None), Some(_), true) if uncertain => Ok(()),
-        (Ok(Some(g)), _, true) if uncertain && ctx.was_written(key, &g) => Ok(()),
-        (Ok(Some(g)), Some(e), _) => Err(diverge(
-            i,
-            op,
-            format!("get({key}) returned {} bytes, model has {} bytes", g.len(), e.len()),
-        )),
-        (Ok(Some(_)), None, _) => {
-            Err(diverge(i, op, format!("get({key}) returned data for an absent key")))
+impl Strict {
+    /// Applies acknowledged writes to the model; returns each put's index
+    /// in its key's write history (`None` for a delete).
+    pub fn commit(&mut self, run: &mut Run, writes: Vec<Write>) -> Vec<Option<usize>> {
+        writes
+            .into_iter()
+            .map(|(key, value)| match value {
+                Some(v) => {
+                    self.model.put(key, &v);
+                    Some(run.record_write(key, v))
+                }
+                None => {
+                    self.model.delete(key);
+                    None
+                }
+            })
+            .collect()
+    }
+
+    /// After a shutdown flush that had nowhere to write, the memtable's
+    /// keys — and only those — may roll back across the reboot: adopt
+    /// whatever survived, provided it was actually written.
+    fn reconcile(&mut self, run: &Run, lost_unflushed: Vec<u128>) -> Result<(), String> {
+        for key in lost_unflushed {
+            match run.store.get(key) {
+                Ok(Some(v)) if self.model.get(key).is_some_and(|e| **e == *v) => {}
+                Ok(Some(v)) if run.was_written(key, &v) => self.model.put(key, &v),
+                Ok(Some(_)) => {
+                    return Err(format!(
+                        "key {key} returned bytes never written after a no-space shutdown"
+                    ));
+                }
+                Ok(None) => {
+                    self.model.delete(key);
+                }
+                Err(e) => fault_excuses(run, &format!("post-shutdown get({key})"), &e)?,
+            }
         }
-        (Ok(None), Some(_), _) => {
-            Err(diverge(i, op, format!("get({key}) lost data the model still has")))
-        }
-        (Err(e), _, false) => Err(diverge(i, op, format!("get({key}) failed: {e}"))),
+        Ok(())
     }
 }
 
-/// Compares a scan result against the model's range, with the §4.4
-/// relaxations: after an injected failure the scan may error, and
-/// *uncertain* keys may be missing or extra — but a certain key must
-/// appear exactly when the model has it, and any returned bytes must be
-/// some value actually written to that key (a scan never fabricates).
-pub(crate) fn compare_scan(
-    ctx: &RunCtx,
-    i: usize,
-    op: &KvOp,
-    start: u128,
-    end: u128,
-    got: Result<Vec<(u128, ValueBuf)>, StoreError>,
-    expected: Vec<(u128, Arc<Vec<u8>>)>,
-) -> Result<(), Divergence> {
-    let got = match got {
-        Ok(g) => g,
-        Err(_) if ctx.has_failed => return Ok(()),
-        Err(e) => return Err(diverge(i, op, format!("scan({start}, {end}) failed: {e}"))),
-    };
-    if !got.windows(2).all(|w| w[0].0 < w[1].0) {
-        return Err(diverge(i, op, "scan entries are not strictly ascending".to_string()));
+impl Oracle for Strict {
+    fn accepts(&self, op: &KvOp) -> bool {
+        !op.is_crash_op()
     }
-    if let Some((k, _)) = got.iter().find(|(k, _)| *k < start || *k > end) {
-        return Err(diverge(i, op, format!("scan returned key {k} outside [{start}, {end}]")));
-    }
-    if !ctx.has_failed {
-        let got_keys: Vec<u128> = got.iter().map(|(k, _)| *k).collect();
-        let exp_keys: Vec<u128> = expected.iter().map(|(k, _)| *k).collect();
-        if got_keys != exp_keys {
-            return Err(diverge(
-                i,
-                op,
-                format!("scan key sets diverge: impl {got_keys:?} vs model {exp_keys:?}"),
-            ));
-        }
-        for ((key, gv), (_, ev)) in got.iter().zip(&expected) {
-            if *gv != **ev {
-                return Err(diverge(
-                    i,
-                    op,
-                    format!(
-                        "scan value mismatch for key {key}: impl {} bytes, model {} bytes",
-                        gv.len(),
-                        ev.len()
-                    ),
-                ));
-            }
-        }
-    } else {
-        let got_keys: std::collections::BTreeSet<u128> = got.iter().map(|(k, _)| *k).collect();
-        for (key, _) in expected.iter().filter(|(k, _)| !ctx.uncertain.contains(k)) {
-            if !got_keys.contains(key) {
-                return Err(diverge(
-                    i,
-                    op,
-                    format!("scan lost key {key} although no operation on it failed"),
-                ));
-            }
-        }
-        let exp_keys: std::collections::BTreeSet<u128> =
-            expected.iter().map(|(k, _)| *k).collect();
-        for (key, value) in &got {
-            if !exp_keys.contains(key) && !ctx.uncertain.contains(key) {
-                return Err(diverge(
-                    i,
-                    op,
-                    format!("scan returned key {key} the model deleted"),
-                ));
-            }
-            if !ctx.was_written(*key, &value.to_vec()) {
-                return Err(diverge(
-                    i,
-                    op,
-                    format!("scan returned bytes for key {key} that were never written"),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
 
-/// The §4.1 invariant: implementation and model hold the same key-value
-/// mapping (relaxed to the no-corruption check after injected failures).
-pub(crate) fn check_invariants(
-    ctx: &RunCtx,
-    model: &KvModel,
-    i: usize,
-    op: &KvOp,
-) -> Result<(), Divergence> {
-    let impl_keys = match ctx.store.list() {
-        Ok(k) => k,
-        Err(e) => {
-            if ctx.has_failed {
-                return Ok(());
+    fn observe(&mut self, run: &mut Run, obs: Observation) -> Result<(), String> {
+        match obs {
+            Observation::Get { key, got } => {
+                judge_get(run, key, &got, self.model.get(key), run.uncertain.contains(&key))
             }
-            return Err(diverge(i, op, format!("list failed: {e}")));
+            Observation::Mutated { what, writes, result } => {
+                match triage(run, what, result)? {
+                    Triage::Done(_) => drop(self.commit(run, writes)),
+                    Triage::NoSpace => run.skipped_no_space += 1,
+                    // The mutation may have partially applied: each key
+                    // is ambiguous between its old and new state.
+                    Triage::Tolerated => run.record_doubtful(&writes),
+                }
+                Ok(())
+            }
+            Observation::Scan { start, end, got } => {
+                let got = match got {
+                    Ok(got) => got,
+                    Err(e) => return fault_excuses(run, "scan", &e),
+                };
+                let expected = self.model.scan(start, end);
+                judge_scan(run, (start, end), &got, &expected)?;
+                if run.fault_active {
+                    // A certain key appears exactly when the model has it.
+                    let got: BTreeSet<u128> = got.iter().map(|(k, _)| *k).collect();
+                    let expected: BTreeSet<u128> = expected.iter().map(|(k, _)| *k).collect();
+                    let mut certain = got.symmetric_difference(&expected);
+                    if let Some(key) = certain.find(|k| !run.uncertain.contains(k)) {
+                        return Err(if expected.contains(key) {
+                            format!("scan lost key {key} although no operation on it failed")
+                        } else {
+                            format!("scan returned key {key} the model deleted")
+                        });
+                    }
+                }
+                Ok(())
+            }
+            Observation::Maintenance { what, result } => {
+                if !matches!(triage(run, what, result)?, Triage::Done(_)) {
+                    run.mark_all_uncertain(self.model.list());
+                }
+                Ok(())
+            }
+            Observation::Pumped(result) => {
+                if let Err(e) = result {
+                    fault_excuses(run, "pump", &e)?;
+                    run.mark_all_uncertain(self.model.list());
+                }
+                Ok(())
+            }
+            Observation::ShutDown(result) => {
+                let result = result.map(|()| false);
+                self.observe(run, Observation::Maintenance { what: "clean shutdown", result })
+            }
+            Observation::RecoveryBlocked(e) => fault_excuses(run, "recovery", &e),
+            Observation::Rebooted { lost_unflushed } => self.reconcile(run, lost_unflushed),
+            Observation::Crashed => Ok(()),
         }
-    };
-    let model_keys = model.list();
-    if !ctx.has_failed {
-        if impl_keys != model_keys {
-            return Err(diverge(
-                i,
-                op,
-                format!("key sets diverge: impl {impl_keys:?} vs model {model_keys:?}"),
-            ));
+    }
+
+    /// The §4.1 invariant: implementation and model hold the same
+    /// key-value mapping (relaxed to the no-corruption check after
+    /// injected failures).
+    fn after_op(&mut self, run: &mut Run, _at: usize) -> Result<(), String> {
+        let model_keys = self.model.list();
+        let doubtful = |k: u128| run.uncertain.contains(&k);
+        let Some(impl_keys) = check_listing(run, &model_keys, doubtful)? else {
+            return Ok(());
+        };
+        if run.fault_active {
+            return match impl_keys.iter().find(|k| !doubtful(**k) && !model_keys.contains(k)) {
+                Some(key) => Err(format!("key {key} present although the model deleted it")),
+                None => Ok(()),
+            };
         }
-        for key in &model_keys {
-            let expected = model.get(*key).expect("listed key present");
-            match ctx.store.get(*key) {
+        for key in model_keys {
+            let expected = self.model.get(key).expect("listed key present");
+            match run.store.get(key) {
                 Ok(Some(got)) if got == **expected => {}
                 Ok(other) => {
-                    return Err(diverge(
-                        i,
-                        op,
-                        format!(
-                            "value mismatch for key {key}: impl {:?} bytes",
-                            other.map(|v| v.len())
-                        ),
+                    return Err(format!(
+                        "value mismatch for key {key}: impl {:?} bytes",
+                        other.map(|v| v.len())
                     ));
                 }
-                Err(e) => return Err(diverge(i, op, format!("get({key}) failed: {e}"))),
+                Err(e) => return Err(format!("get({key}) failed: {e}")),
             }
         }
-    } else {
-        // Relaxed mode: the key sets may differ only on uncertain keys,
-        // and anything readable must have been written at some point.
-        for key in model_keys.iter().filter(|k| !ctx.uncertain.contains(k)) {
-            if !impl_keys.contains(key) {
-                return Err(diverge(
-                    i,
-                    op,
-                    format!("key {key} lost although no operation on it failed"),
-                ));
-            }
-        }
-        for key in impl_keys.iter().filter(|k| !ctx.uncertain.contains(k)) {
-            if !model_keys.contains(key) {
-                return Err(diverge(
-                    i,
-                    op,
-                    format!("key {key} present although the model deleted it"),
-                ));
-            }
-        }
-        for key in &impl_keys {
-            if let Ok(Some(got)) = ctx.store.get(*key) {
-                if !ctx.was_written(*key, &got) {
-                    return Err(diverge(
-                        i,
-                        op,
-                        format!("key {key} returned bytes that were never written"),
-                    ));
-                }
-            }
-        }
+        Ok(())
     }
-    Ok(())
 }

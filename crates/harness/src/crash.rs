@@ -4,43 +4,28 @@
 //! `DirtyReboot(RebootType)`: the reboot type decides which volatile
 //! component state is flushed or issued before the crash, and which
 //! disk-cache pages survive it (coarse per-component choices plus
-//! block-level page subsets — both granularities from §5).
-//!
-//! Two properties are checked, verbatim from the paper:
-//!
-//! 1. **Persistence** — if a dependency says an operation persisted
-//!    before a crash, it is readable after the crash (unless superseded
-//!    by a later persisted operation), and anything read back must be a
-//!    value that was actually written (no corruption).
-//! 2. **Forward progress** — after a non-crashing shutdown, every
-//!    operation's dependency reports persistent.
+//! block-level page subsets — both granularities from §5). The
+//! persistence and forward-progress properties themselves are the
+//! `CrashAware` oracle's, below.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use shardstore_faults::coverage;
+use shardstore_dependency::Dependency;
+use shardstore_faults::{coverage, FaultConfig};
 use shardstore_model::CrashAwareKvModel;
-use shardstore_vdisk::CrashPlan;
 
-use crate::conformance::{ConformanceConfig, Divergence, RunCtx, RunReport};
-use crate::ops::{KvOp, RebootType};
-
-fn diverge(op_index: usize, op: &KvOp, detail: impl Into<String>) -> Divergence {
-    Divergence {
-        op_index,
-        op: format!("{op:?}"),
-        detail: detail.into(),
-        timeline: String::new(),
-        dropped_events: 0,
-    }
-}
+use crate::conformance::{ConformanceConfig, Divergence, RunReport};
+use crate::interp::{Observation, Run};
+use crate::ops::KvOp;
+use crate::oracle::{fault_excuses, judge_get, judge_scan, triage, Oracle, Triage};
 
 /// Runs a sequence that may include dirty reboots, checking the §5
 /// persistence and forward-progress properties at every crash and clean
 /// shutdown.
 ///
-/// A thin frontend over the deterministic simulator (clean schedule =
-/// the historical loop); perturbed schedules go through
+/// A thin frontend over the deterministic simulator (clean schedule = a
+/// straight-line loop); perturbed schedules go through
 /// [`crate::simulate::run_crash_sim`].
 pub fn run_crash_consistency(
     ops: &[KvOp],
@@ -55,360 +40,155 @@ pub fn run_crash_consistency(
     Ok(outcome.report)
 }
 
-/// One crash-consistency step (the historical loop body), shared by the
-/// frontend above and the simulator's crash world.
-pub(crate) fn crash_step(
-    ctx: &mut RunCtx,
-    model: &mut CrashAwareKvModel,
-    i: usize,
-    op: &KvOp,
-    cfg: &ConformanceConfig,
-) -> Result<(), Divergence> {
-    let page_size = cfg.geometry.page_size;
-    {
-        match op {
-            KvOp::Get(kr) => {
-                let key = kr.resolve(&ctx.puts_so_far);
-                let got = ctx.store.get(key);
-                match got {
-                    Ok(Some(bytes)) => {
-                        let current = model.current(key);
-                        let matches_current =
-                            current.as_ref().map(|c| ***c == *bytes).unwrap_or(false);
-                        if !matches_current && !ctx.has_failed {
-                            return Err(diverge(i, op, format!("get({key}) wrong value")));
-                        }
-                        if !matches_current && !ctx.was_written(key, &bytes) {
-                            return Err(diverge(
-                                i,
-                                op,
-                                format!("get({key}) returned bytes never written"),
-                            ));
-                        }
-                    }
-                    Ok(None) => {
-                        if model.current(key).is_some() && !ctx.has_failed {
-                            return Err(diverge(i, op, format!("get({key}) lost data")));
-                        }
-                    }
-                    Err(e) => {
-                        if !ctx.has_failed {
-                            return Err(diverge(i, op, format!("get({key}) failed: {e}")));
-                        }
-                    }
-                }
-            }
-            KvOp::Put(kr, spec) => {
-                let key = kr.resolve(&ctx.puts_so_far);
-                let value = Arc::new(spec.materialize(key, page_size));
-                match ctx.store.put(key, &value) {
-                    Ok(dep) => {
-                        model.put(key, &value, dep);
-                        ctx.record_write(key, value);
-                    }
-                    Err(e) if crate::conformance_no_space(&e) => {
-                        ctx.skipped_no_space += 1;
-                    }
-                    Err(e) if ctx.tolerate(&e) => {
-                        // Record the attempted mutation with a dependency
-                        // that can never persist: the crash-aware model
-                        // then allows either outcome but never demands
-                        // the failed write survive.
-                        let dead = ctx.store.scheduler().promise().dependency();
-                        model.put(key, &value, dead);
-                        ctx.record_write(key, value);
-                        ctx.uncertain.insert(key);
-                    }
-                    Err(e) => return Err(diverge(i, op, format!("put failed: {e}"))),
-                }
-            }
-            KvOp::PutBatch(elems) => {
-                let batch: Vec<(u128, Arc<Vec<u8>>)> = elems
-                    .iter()
-                    .map(|(kr, spec)| {
-                        let key = kr.resolve(&ctx.puts_so_far);
-                        (key, Arc::new(spec.materialize(key, page_size)))
-                    })
-                    .collect();
-                let arg: Vec<(u128, Vec<u8>)> =
-                    batch.iter().map(|(k, v)| (*k, v.to_vec())).collect();
-                match ctx.store.put_batch(&arg) {
-                    Ok(deps) => {
-                        for ((key, value), dep) in batch.into_iter().zip(deps) {
-                            model.put(key, &value, dep);
-                            ctx.record_write(key, value);
-                        }
-                    }
-                    Err(e) if crate::conformance_no_space(&e) => {
-                        ctx.skipped_no_space += 1;
-                    }
-                    Err(e) if ctx.tolerate(&e) => {
-                        for (key, value) in batch {
-                            let dead = ctx.store.scheduler().promise().dependency();
-                            model.put(key, &value, dead);
-                            ctx.record_write(key, value);
-                            ctx.uncertain.insert(key);
-                        }
-                    }
-                    Err(e) => return Err(diverge(i, op, format!("put_batch failed: {e}"))),
-                }
-            }
-            KvOp::Delete(kr) => {
-                let key = kr.resolve(&ctx.puts_so_far);
-                match ctx.store.delete(key) {
-                    Ok(dep) => model.delete(key, dep),
-                    Err(e) if crate::conformance_no_space(&e) => {
-                        ctx.skipped_no_space += 1;
-                    }
-                    Err(e) if ctx.tolerate(&e) => {
-                        let dead = ctx.store.scheduler().promise().dependency();
-                        model.delete(key, dead);
-                        ctx.uncertain.insert(key);
-                    }
-                    Err(e) => return Err(diverge(i, op, format!("delete failed: {e}"))),
-                }
-            }
-            KvOp::Scan(a, b) => {
-                let ka = a.resolve(&ctx.puts_so_far);
-                let kb = b.resolve(&ctx.puts_so_far);
-                let (start, end) = (ka.min(kb), ka.max(kb));
-                match ctx.store.scan(start, end) {
-                    Ok(entries) => {
-                        // Between crashes execution is sequential and
-                        // deterministic, so the scan must agree with the
-                        // crash-free current state key by key.
-                        for (key, value) in &entries {
-                            if *key < start || *key > end {
-                                return Err(diverge(
-                                    i,
-                                    op,
-                                    format!("scan returned key {key} outside [{start}, {end}]"),
-                                ));
-                            }
-                            let current = model.current(*key);
-                            let matches_current =
-                                current.as_ref().map(|c| *value == ***c).unwrap_or(false);
-                            if !matches_current && !ctx.has_failed {
-                                return Err(diverge(
-                                    i,
-                                    op,
-                                    format!("scan returned wrong value for key {key}"),
-                                ));
-                            }
-                            if !matches_current && !ctx.was_written(*key, &value.to_vec()) {
-                                return Err(diverge(
-                                    i,
-                                    op,
-                                    format!("scan returned bytes never written for key {key}"),
-                                ));
-                            }
-                        }
-                        if !ctx.has_failed {
-                            let got: BTreeSet<u128> =
-                                entries.iter().map(|(k, _)| *k).collect();
-                            for key in model.tracked_keys() {
-                                if (start..=end).contains(&key)
-                                    && model.current(key).is_some()
-                                    && !got.contains(&key)
-                                {
-                                    return Err(diverge(
-                                        i,
-                                        op,
-                                        format!("scan lost key {key}"),
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        if !ctx.has_failed {
-                            return Err(diverge(i, op, format!("scan failed: {e}")));
-                        }
-                    }
-                }
-            }
-            KvOp::IndexFlush => {
-                if let Err(e) = ctx.store.flush_index() {
-                    if !ctx.tolerate(&e) && !crate::conformance_no_space(&e) {
-                        return Err(diverge(i, op, format!("flush failed: {e}")));
-                    }
-                }
-            }
-            KvOp::Compact => {
-                if let Err(e) = ctx.store.compact_index() {
-                    if !ctx.tolerate(&e) && !crate::conformance_no_space(&e) {
-                        return Err(diverge(i, op, format!("compact failed: {e}")));
-                    }
-                }
-            }
-            KvOp::Reclaim(stream) => {
-                match ctx.store.reclaim(*stream) {
-                    Ok(true) => model.note_reclaim(),
-                    Ok(false) => {}
-                    Err(e) => {
-                        if !ctx.tolerate(&e) && !crate::conformance_no_space(&e) {
-                            return Err(diverge(i, op, format!("reclaim failed: {e}")));
-                        }
-                    }
-                }
-            }
-            KvOp::CacheDrop => ctx.store.drop_caches(),
-            KvOp::Pump(n) => {
-                let sched = ctx.store.scheduler();
-                if let Err(e) = sched.issue_ready(*n as usize).and_then(|_| sched.flush_issued())
-                {
-                    if !ctx.has_failed {
-                        return Err(diverge(i, op, format!("pump failed: {e}")));
-                    }
-                }
-            }
-            KvOp::Reboot => {
-                let mut shutdown_no_space = false;
-                if let Err(e) = ctx.store.clean_shutdown() {
-                    if !ctx.tolerate(&e) && !crate::conformance_no_space(&e) {
-                        return Err(diverge(i, op, format!("clean shutdown failed: {e}")));
-                    }
-                    shutdown_no_space = crate::conformance_no_space(&e);
-                }
-                // Forward progress: every dependency persistent after a
-                // non-crashing shutdown (skipped once failures fired —
-                // failed writes legitimately never persist — and when the
-                // shutdown flush itself had no space to write: unflushed
-                // dependencies then legitimately stay unpersistent, and
-                // the crash-aware model already permits their loss).
-                if !ctx.has_failed && !shutdown_no_space {
-                    if let Err(key) = model.check_forward_progress() {
-                        coverage::hit("crashcheck.forward_progress_violation");
-                        return Err(diverge(
-                            i,
-                            op,
-                            format!("forward progress: dependency for key {key} not persistent after clean shutdown"),
-                        ));
-                    }
-                }
-                match ctx.store.dirty_reboot(&CrashPlan::LoseAll) {
-                    Ok(recovered) => ctx.store = recovered,
-                    Err(e) => {
-                        if !ctx.has_failed {
-                            return Err(diverge(i, op, format!("recovery failed: {e}")));
-                        }
-                        ctx.store.scheduler().disk().clear_failures();
-                        ctx.store = ctx
-                            .store
-                            .dirty_reboot(&CrashPlan::LoseAll)
-                            .map_err(|e| diverge(i, op, format!("recovery failed twice: {e}")))?;
-                    }
-                }
-                model.crash();
-            }
-            KvOp::DirtyReboot(rt) => {
-                dirty_reboot(ctx, model, i, op, rt)?;
-            }
-            KvOp::FailDiskOnce(raw) => {
-                let disk = ctx.store.scheduler().disk().clone();
-                disk.inject_fail_once(KvOp::fail_target(*raw, cfg.geometry.extent_count));
-                ctx.has_failed = true;
-            }
-        }
-    }
-    Ok(())
+/// Crash consistency against [`CrashAwareKvModel`]: every mutation is
+/// recorded with its dependency, so what a crash — or a failed write —
+/// may lose is the model's business, not an `uncertain` set's.
+///
+/// 1. **Persistence** — if a dependency says an operation persisted
+///    before a crash, it is readable after the crash (unless superseded
+///    by a later persisted operation), and anything read back must be a
+///    value that was actually written.
+/// 2. **Forward progress** — after a non-crashing shutdown, every
+///    operation's dependency reports persistent.
+pub(crate) struct CrashAware {
+    model: CrashAwareKvModel,
 }
 
-pub(crate) fn dirty_reboot(
-    ctx: &mut RunCtx,
-    model: &mut CrashAwareKvModel,
-    i: usize,
-    op: &KvOp,
-    rt: &RebootType,
-) -> Result<(), Divergence> {
-    coverage::hit("crashcheck.dirty_reboot");
-    // Pre-crash volatile-state treatment (§5's RebootType).
-    if rt.flush_index {
-        let _ = ctx.store.flush_index();
+impl CrashAware {
+    pub fn new(faults: FaultConfig) -> Self {
+        Self { model: CrashAwareKvModel::new(faults) }
     }
-    let sched = ctx.store.scheduler();
-    if rt.issue_ios > 0 {
-        let _ = sched.issue_ready(rt.issue_ios as usize);
-    }
-    // Block-level survival: choose a page subset via the mask.
-    let pages = sched.disk().volatile_pages();
-    let keep: BTreeSet<_> = pages
-        .into_iter()
-        .enumerate()
-        .filter(|(idx, _)| rt.keep_mask & (1u64 << (idx % 64)) != 0)
-        .map(|(_, p)| p)
-        .collect();
-    let plan = if keep.is_empty() { CrashPlan::LoseAll } else { CrashPlan::Keep(keep) };
-    // Crash + recover. Dependency persistence is frozen by the crash
-    // (pending/issued writes become permanently lost), so polling the
-    // model's expectations *after* the crash sees exactly the pre-crash
-    // persistence.
-    let recovered = match ctx.store.dirty_reboot(&plan) {
-        Ok(s) => s,
-        Err(e) => {
-            if ctx.has_failed {
-                ctx.store.scheduler().disk().clear_failures();
-                ctx.store
-                    .dirty_reboot(&CrashPlan::LoseAll)
-                    .map_err(|e| diverge(i, op, format!("recovery failed twice: {e}")))?
-            } else {
-                return Err(diverge(i, op, format!("recovery failed: {e}")));
-            }
+
+    fn record(&mut self, key: u128, value: &Option<Arc<Vec<u8>>>, dep: Dependency) {
+        match value {
+            Some(v) => self.model.put(key, v, dep),
+            None => self.model.delete(key, dep),
         }
-    };
-    ctx.store = recovered;
-    // The §5 persistence check, one key at a time, collecting the
-    // observed post-recovery state to resynchronize the model.
-    let mut observations: std::collections::BTreeMap<u128, Option<Arc<Vec<u8>>>> =
-        std::collections::BTreeMap::new();
-    for key in model.tracked_keys() {
-        let exp = model.expectation(key);
-        let observed = match ctx.store.get(key) {
-            Ok(v) => v.map(Arc::new),
-            Err(e) => {
-                if ctx.has_failed {
+    }
+
+    /// The §5 persistence check, one key at a time, collecting the
+    /// observed post-recovery state to resynchronize the model.
+    /// Dependency persistence is frozen by the crash (pending and issued
+    /// writes become permanently lost), so polling the model's
+    /// expectations *after* recovery sees exactly the pre-crash
+    /// persistence.
+    fn check_persistence(&mut self, run: &Run) -> Result<(), String> {
+        let mut observations = BTreeMap::new();
+        for key in self.model.tracked_keys() {
+            let exp = self.model.expectation(key);
+            let observed = match run.store.get(key) {
+                Ok(v) => v.map(Arc::new),
+                Err(e) => {
+                    fault_excuses(run, &format!("post-crash get({key})"), &e)?;
                     continue;
                 }
-                return Err(diverge(i, op, format!("post-crash get({key}) failed: {e}")));
+            };
+            observations.insert(key, observed.clone());
+            // The allowed set holds the last persisted mutation's value
+            // plus every later (possibly surviving) unpersisted one, so a
+            // persisted value is "missing" only if nothing in it matches.
+            if exp.permits(&observed) {
+                continue;
             }
-        };
-        observations.insert(key, observed.clone());
-        // The §5 persistence property is exactly the allowed-set check:
-        // the set contains the last persisted mutation's value plus every
-        // later (possibly surviving) unpersisted mutation — so a persisted
-        // value can only be "missing" if nothing in the set matches.
-        if exp.persisted.is_some() && !exp.permits(&observed) && !ctx.has_failed {
-            coverage::hit("crashcheck.persistence_violation");
-            return Err(diverge(
-                i,
-                op,
-                format!(
-                    "persistence violation for key {key}: persisted {:?} bytes, observed {:?} bytes",
+            let len = observed.as_ref().map(|v| v.len());
+            if exp.persisted.is_some() && !run.fault_active {
+                coverage::hit("crashcheck.persistence_violation");
+                return Err(format!(
+                    "persistence violation for key {key}: persisted {:?} bytes, observed {len:?} bytes",
                     exp.persisted.as_ref().and_then(|v| v.as_ref()).map(|v| v.len()),
-                    observed.as_ref().map(|v| v.len())
-                ),
-            ));
-        }
-        if !exp.permits(&observed) {
+                ));
+            }
             // Corruption (bytes never written) is never allowed, failure
             // or not.
-            let corrupt = observed
-                .as_ref()
-                .map(|o| !ctx.was_written(key, o))
-                .unwrap_or(false);
-            if corrupt || !ctx.has_failed {
+            let corrupt = observed.as_ref().is_some_and(|o| !run.was_written(key, o));
+            if corrupt || !run.fault_active {
                 coverage::hit("crashcheck.consistency_violation");
-                return Err(diverge(
-                    i,
-                    op,
-                    format!(
-                        "consistency violation for key {key}: observed {:?} bytes not in allowed set",
-                        observed.as_ref().map(|v| v.len())
-                    ),
+                return Err(format!(
+                    "consistency violation for key {key}: observed {len:?} bytes not in allowed set"
                 ));
             }
         }
+        self.model.crash_with_observations(&observations);
+        Ok(())
     }
-    model.crash_with_observations(&observations);
-    Ok(())
+}
+
+impl Oracle for CrashAware {
+    fn observe(&mut self, run: &mut Run, obs: Observation) -> Result<(), String> {
+        match obs {
+            // Between crashes execution is sequential, so reads agree
+            // with the crash-free current state; under a fault every key
+            // is doubtful (the dependencies say what may be lost).
+            Observation::Get { key, got } => {
+                judge_get(run, key, &got, self.model.current(key), true)
+            }
+            Observation::Mutated { what, writes, result } => {
+                match triage(run, what, result)? {
+                    Triage::Done(deps) => {
+                        for ((key, value), dep) in writes.into_iter().zip(deps) {
+                            self.record(key, &value, dep);
+                            if let Some(v) = value {
+                                run.record_write(key, v);
+                            }
+                        }
+                    }
+                    Triage::NoSpace => run.skipped_no_space += 1,
+                    Triage::Tolerated => {
+                        // Record the attempt with a dependency that can
+                        // never persist: the model then allows either
+                        // outcome but never demands the failed write
+                        // survive.
+                        for (key, value) in &writes {
+                            let dead = run.store.scheduler().promise().dependency();
+                            self.record(*key, value, dead);
+                        }
+                        run.record_doubtful(&writes);
+                    }
+                }
+                Ok(())
+            }
+            Observation::Scan { start, end, got } => {
+                let got = match got {
+                    Ok(got) => got,
+                    Err(e) => return fault_excuses(run, "scan", &e),
+                };
+                let in_range = self.model.list().into_iter().filter(|k| (start..=end).contains(k));
+                let expected: Vec<_> =
+                    in_range.map(|k| (k, self.model.current(k).expect("listed key"))).collect();
+                judge_scan(run, (start, end), &got, &expected)
+            }
+            Observation::Maintenance { what, result } => {
+                if let Triage::Done(true) = triage(run, what, result)? {
+                    self.model.note_reclaim();
+                }
+                Ok(())
+            }
+            Observation::Pumped(result) => {
+                result.or_else(|e| fault_excuses(run, "pump", &e))
+            }
+            Observation::ShutDown(result) => {
+                // Forward progress is skipped once failures fired (failed
+                // writes legitimately never persist) and when the
+                // shutdown flush itself had no space: unflushed
+                // dependencies then stay unpersistent, and the model
+                // already permits their loss.
+                let exhausted = matches!(triage(run, "clean shutdown", result)?, Triage::NoSpace);
+                if !run.fault_active && !exhausted {
+                    if let Err(key) = self.model.check_forward_progress() {
+                        coverage::hit("crashcheck.forward_progress_violation");
+                        return Err(format!(
+                            "forward progress: dependency for key {key} not persistent after clean shutdown"
+                        ));
+                    }
+                }
+                Ok(())
+            }
+            Observation::RecoveryBlocked(e) => fault_excuses(run, "recovery", &e),
+            Observation::Rebooted { .. } => {
+                self.model.crash();
+                Ok(())
+            }
+            Observation::Crashed => self.check_persistence(run),
+        }
+    }
 }

@@ -22,31 +22,27 @@
 //!   never revert. Retry and quarantine bookkeeping in the scheduler must
 //!   not un-acknowledge a durable write.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
 
-use shardstore_core::{Store, StoreConfig, StoreError};
+use shardstore_core::StoreConfig;
 use shardstore_dependency::Dependency;
 use shardstore_faults::FaultConfig;
-use shardstore_model::KvModel;
-use shardstore_vdisk::{CrashPlan, ExtentId, Geometry};
+use shardstore_vdisk::{ExtentId, Geometry};
 
+use crate::conformance::{ConformanceConfig, Strict};
 use crate::detect::sample_sequences;
 use crate::gen::{kv_ops, GenConfig};
+use crate::interp::{Observation, Run};
 use crate::ops::KvOp;
+use crate::oracle::{check_listing, fault_excuses, judge_get, judge_scan, triage, Oracle, Triage};
+use crate::simulate::StoreWorld;
 
-/// The kind of fault a schedule injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The next `n` IOs to the extent fail with a *transient* error.
-    /// `n` at or below the scheduler's retry budget is absorbed
-    /// invisibly; above it, the error surfaces and the write requeues.
-    Transient(u32),
-    /// Every IO to the extent fails permanently: the extent is expected
-    /// to be quarantined on first contact.
-    Permanent,
-}
+/// The kind of fault a schedule injects — the simulator's vocabulary.
+/// A transient count at or below the scheduler's retry budget is absorbed
+/// invisibly; above it, the error surfaces and the write requeues. A
+/// permanent fault is expected to quarantine the extent on first contact.
+pub use shardstore_sim::SimFaultKind as FaultKind;
 
 /// One point in the fault-schedule space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,45 +182,68 @@ pub struct SweepReport {
 }
 
 /// One acknowledged-durability tracking record: a put (or delete) whose
-/// dependency we watch for the no-lost-ack property.
-struct Tracked {
-    key: u128,
+/// dependency is watched for the no-lost-ack property.
+pub(crate) struct Tracked {
+    pub key: u128,
     /// Index into the key's write history; `None` for a delete.
-    hist_idx: Option<usize>,
-    dep: Dependency,
-    acked: bool,
+    pub hist_idx: Option<usize>,
+    pub dep: Dependency,
+    pub acked: bool,
 }
 
-struct SweepCtx {
-    store: Store,
-    model: KvModel,
-    history: BTreeMap<u128, Vec<Arc<Vec<u8>>>>,
-    tracked: Vec<Tracked>,
-    puts_so_far: Vec<u128>,
-    uncertain: std::collections::BTreeSet<u128>,
+/// [`Strict`] made precise about acknowledgement, for enumerated fault
+/// schedules: only *acknowledged* state carries a durability promise, so
+/// a write that never acked may vanish under an armed fault, while an
+/// acked one must stay readable or fail *degraded* — and an ack, once
+/// given, never reverts.
+#[derive(Default)]
+pub(crate) struct AckPrecise {
+    base: Strict,
+    pub tracked: Vec<Tracked>,
     /// Keys deleted at or after their last acked write (a later `None`
     /// read is then legal).
-    deleted_after_ack: std::collections::BTreeSet<u128>,
-    fault_armed: bool,
-    degraded_reads: u64,
+    deleted_after_ack: BTreeSet<u128>,
+    /// Degraded read errors observed (and tolerated).
+    pub degraded_reads: u64,
+    /// Under background writeback the quarantine event (emitted by the
+    /// writeback thread) and a concurrent cache hit on the main thread
+    /// have no defined trace order, so the isolation trace oracle only
+    /// holds in deterministic mode.
+    background_writeback: bool,
 }
 
-impl SweepCtx {
-    fn was_written(&self, key: u128, bytes: &[u8]) -> bool {
-        self.history.get(&key).map(|h| h.iter().any(|v| ***v == *bytes)).unwrap_or(false)
+impl AckPrecise {
+    pub fn new(background_writeback: bool) -> Self {
+        Self { background_writeback, ..Self::default() }
     }
 
-    fn record_write(&mut self, key: u128, value: Arc<Vec<u8>>) -> usize {
-        self.puts_so_far.push(key);
-        let h = self.history.entry(key).or_default();
-        h.push(value);
-        h.len() - 1
+    /// Dependencies that reported persistent.
+    pub fn acks(&self) -> u64 {
+        self.tracked.iter().filter(|t| t.acked).count() as u64
+    }
+
+    /// True if the key's most recent tracked write was never acknowledged
+    /// (or it was never written through the tracked path). Under an armed
+    /// fault such a write may legitimately vanish — its data write can be
+    /// `Lost` to a quarantine before persisting, the doomed index entry
+    /// is then filtered out of the next flush, and the client was never
+    /// told otherwise.
+    fn latest_write_unacked(&self, key: u128) -> bool {
+        self.tracked
+            .iter()
+            .rev()
+            .find(|t| t.key == key && t.hist_idx.is_some())
+            .is_none_or(|t| !t.acked)
+    }
+
+    fn doubtful(&self, run: &Run, key: u128) -> bool {
+        run.uncertain.contains(&key) || self.latest_write_unacked(key)
     }
 
     /// Polls every tracked dependency, promoting to acked and enforcing
     /// the no-lost-ack property.
-    fn poll_acks(&mut self, at: usize) -> Result<(), String> {
-        let obs = self.store.obs();
+    fn poll_acks(&mut self, run: &Run, at: usize) -> Result<(), String> {
+        let obs = run.store.obs();
         for t in &mut self.tracked {
             let persistent = t.dep.is_persistent();
             if t.acked && !persistent {
@@ -249,186 +268,211 @@ impl SweepCtx {
         Ok(())
     }
 
-    /// The latest acknowledged *write* per key (deletes supersede).
-    fn acked_values(&self) -> BTreeMap<u128, usize> {
-        let mut out = BTreeMap::new();
+    /// The durability-under-quarantine property, checked after the
+    /// sequence settles: every key with an acknowledged write reads back
+    /// as its acked value or a later-written one, or fails *degraded* —
+    /// never `None` (unless deleted after the ack), and never unwritten
+    /// bytes.
+    fn check_acked_durability(&mut self, run: &Run) -> Result<(), String> {
+        // The latest acknowledged *write* per key (deletes supersede).
+        let mut acked = BTreeMap::new();
         for t in self.tracked.iter().filter(|t| t.acked) {
             match t.hist_idx {
-                Some(idx) => {
-                    out.insert(t.key, idx);
+                Some(idx) => acked.insert(t.key, idx),
+                None => acked.remove(&t.key),
+            };
+        }
+        for (key, acked_idx) in acked {
+            // A later (possibly unacked) delete makes absence legal; only
+            // keys the model still holds carry the strict obligation.
+            if self.deleted_after_ack.contains(&key) || self.base.model.get(key).is_none() {
+                continue;
+            }
+            // Tolerate leftover transient counts: retry the read a couple
+            // of times before judging.
+            let mut last = run.store.get(key);
+            for _ in 0..2 {
+                if last.is_ok() {
+                    break;
                 }
-                None => {
-                    out.remove(&t.key);
+                last = run.store.get(key);
+            }
+            match last {
+                Ok(Some(got)) => {
+                    let hist = run.history.get(&key).expect("acked key has history");
+                    if !hist[acked_idx..].iter().any(|v| ***v == *got) {
+                        return Err(format!(
+                            "durability violated: acked key {key} read back bytes older than (or \
+                             foreign to) its acknowledged write"
+                        ));
+                    }
+                }
+                Ok(None) => {
+                    return Err(format!(
+                        "durability violated: acked key {key} is silently missing (no delete, no \
+                         degraded error)"
+                    ));
+                }
+                Err(e) if e.is_degraded() => self.degraded_reads += 1,
+                // At quiescence the only legitimate read failure for an
+                // acknowledged key is a *distinguishable* degraded error
+                // (its extent quarantined). Anything else — e.g. a
+                // NotFound because some maintenance pass forgot the chunk
+                // — is silent loss of acknowledged data.
+                Err(e) => {
+                    return Err(format!(
+                        "durability violated: acked key {key} unreadable with a non-degraded \
+                         error: {e}"
+                    ));
                 }
             }
         }
-        out
-    }
-
-    fn tolerate(&self, e: &StoreError) -> bool {
-        self.fault_armed && !matches!(e, StoreError::OutOfService)
-    }
-
-    /// True if the key's most recent tracked write was never acknowledged
-    /// (or the key was never written through the tracked path). Under an
-    /// armed fault such a write may legitimately vanish — its data write
-    /// can be `Lost` to a quarantine before persisting, the doomed index
-    /// entry is then filtered out of the next flush, and the client was
-    /// never told otherwise. Only *acknowledged* state carries a
-    /// durability promise, and that promise is enforced separately by
-    /// `poll_acks` (acks never revert) and `check_acked_durability`
-    /// (acked keys stay readable or fail degraded).
-    fn latest_write_unacked(&self, key: u128) -> bool {
-        match self.tracked.iter().rev().find(|t| t.key == key && t.hist_idx.is_some()) {
-            Some(t) => !t.acked,
-            None => true,
-        }
-    }
-}
-
-fn is_no_space(e: &StoreError) -> bool {
-    matches!(
-        e,
-        StoreError::Chunk(shardstore_chunk::ChunkError::NoSpace { .. })
-            | StoreError::Lsm(shardstore_lsm::LsmError::Chunk(
-                shardstore_chunk::ChunkError::NoSpace { .. }
-            ))
-    )
-}
-
-/// The fault-sweep world: a store under one enumerated fault schedule,
-/// interpreted event by event through the deterministic simulator. The
-/// sweep has no network, so there is nothing to deliver — `apply`
-/// executes the operation directly, and the enumerated fault arms via
-/// the simulator's `ArmFault` event "immediately before" the scheduled
-/// operation, exactly where the historical loop armed it.
-struct SweepWorld<'a> {
-    ops: &'a [KvOp],
-    cfg: &'a SweepConfig,
-    ctx: SweepCtx,
-    obs: shardstore_obs::Obs,
-    schedule: FaultSchedule,
-}
-
-impl SweepWorld<'_> {
-    fn violation(&self, i: usize, detail: String) -> SweepViolation {
-        let trace = self.obs.trace();
-        let records = trace.snapshot();
-        let mut timeline = shardstore_obs::oracle::render_timeline_tail(&records, 60);
-        // The causal timeline of the most recent request: one request's
-        // admission→IO→ack (or failure) path, reconstructed by ReqId.
-        let causal =
-            shardstore_obs::oracle::render_last_req_timeline(&records, trace.dropped());
-        if !causal.is_empty() {
-            timeline.push_str("--- causal timeline (last request) ---\n");
-            timeline.push_str(&causal);
-        }
-        SweepViolation { schedule: self.schedule, sequence: 0, op_index: i, detail, timeline }
-    }
-}
-
-impl shardstore_sim::World for SweepWorld<'_> {
-    type Error = SweepViolation;
-
-    fn apply(
-        &mut self,
-        _ctx: &mut shardstore_sim::SimCtx<'_>,
-        i: usize,
-    ) -> Result<(), SweepViolation> {
-        let op = &self.ops[i];
-        shardstore_faults::coverage::hit(crate::simulate::kv_probe(op));
-        let page_size = self.cfg.geometry.page_size;
-        apply_swept_op(&mut self.ctx, i, op, page_size).map_err(|d| self.violation(i, d))?;
-        self.ctx.poll_acks(i).map_err(|d| self.violation(i, d))?;
-        check_step(&self.ctx, i).map_err(|d| self.violation(i, d))
-    }
-
-    fn arm_fault(&mut self, f: &shardstore_sim::FaultPoint) -> Result<(), SweepViolation> {
-        crate::simulate::arm_store_fault(&self.ctx.store, f, self.cfg.geometry.extent_count);
-        self.ctx.fault_armed = true;
         Ok(())
     }
+}
 
-    fn settle(&mut self) -> Result<(), SweepViolation> {
-        // Settle: drive all remaining IO (absorbing leftover transient
-        // counts), then check acked durability one final time.
-        let n = self.ops.len();
+impl Oracle for AckPrecise {
+    /// Faults come from the enumerated schedule, never the alphabet.
+    fn accepts(&self, op: &KvOp) -> bool {
+        !op.is_crash_op() && !op.is_failure_op()
+    }
+
+    fn observe(&mut self, run: &mut Run, obs: Observation) -> Result<(), String> {
+        match obs {
+            Observation::Get { key, got } => {
+                if matches!(&got, Err(e) if run.fault_active && e.is_degraded()) {
+                    self.degraded_reads += 1;
+                }
+                judge_get(run, key, &got, self.base.model.get(key), self.doubtful(run, key))
+            }
+            Observation::Mutated { what, writes, result } => {
+                match triage(run, what, result)? {
+                    Triage::Done(deps) => {
+                        let keys: Vec<u128> = writes.iter().map(|w| w.0).collect();
+                        let hist = self.base.commit(run, writes);
+                        for ((key, hist_idx), dep) in keys.into_iter().zip(hist).zip(deps) {
+                            if hist_idx.is_some() {
+                                self.deleted_after_ack.remove(&key);
+                            }
+                            self.tracked.push(Tracked { key, hist_idx, dep, acked: false });
+                        }
+                    }
+                    Triage::NoSpace => run.skipped_no_space += 1,
+                    Triage::Tolerated => {
+                        run.record_doubtful(&writes);
+                        // A partially-applied delete makes later absence
+                        // legal.
+                        let deleted = writes.iter().filter(|w| w.1.is_none()).map(|w| w.0);
+                        self.deleted_after_ack.extend(deleted);
+                    }
+                }
+                Ok(())
+            }
+            Observation::Scan { start, end, got } => {
+                let got = match got {
+                    Ok(got) => got,
+                    // Degraded mode: the scan crossed a quarantined extent
+                    // and honestly refused (§4.4) — it must error rather
+                    // than silently skip the key.
+                    Err(e) if e.is_degraded() => {
+                        self.degraded_reads += 1;
+                        return Ok(());
+                    }
+                    Err(e) => return fault_excuses(run, "scan", &e),
+                };
+                judge_scan(run, (start, end), &got, &self.base.model.scan(start, end))?;
+                // Under a fault, missing keys fall under the per-key
+                // relaxations; each returned entry must still be its
+                // key's current or (if doubtful) once-written value.
+                if run.fault_active {
+                    for (key, value) in got {
+                        let (got, expected) = (Ok(Some(value.to_vec())), self.base.model.get(key));
+                        judge_get(run, key, &got, expected, self.doubtful(run, key))?;
+                    }
+                }
+                Ok(())
+            }
+            Observation::Pumped(_) => {
+                self.base.observe(run, obs)?;
+                // Pumping may have surfaced a permanent fault; let the
+                // store quarantine and evacuate.
+                let _ = run.store.evacuate_pending();
+                Ok(())
+            }
+            Observation::RecoveryBlocked(_) => {
+                self.base.observe(run, obs)?;
+                run.mark_all_uncertain(self.base.model.list());
+                Ok(())
+            }
+            Observation::Maintenance { .. }
+            | Observation::ShutDown(_)
+            | Observation::Rebooted { .. }
+            | Observation::Crashed => self.base.observe(run, obs),
+        }
+    }
+
+    /// No lost acks, then the relaxed §4.4 invariant: untouched acked
+    /// keys are never silently lost, and nothing readable was never
+    /// written.
+    fn after_op(&mut self, run: &mut Run, at: usize) -> Result<(), String> {
+        self.poll_acks(run, at)?;
+        check_listing(run, &self.base.model.list(), |k| self.doubtful(run, k)).map(drop)
+    }
+
+    fn settle(&mut self, run: &mut Run, n_ops: usize) -> Result<(), String> {
+        // Drive all remaining IO (absorbing leftover transient counts),
+        // then check acked durability one final time.
         for _ in 0..4 {
-            if self.ctx.store.pump().is_ok() {
+            if run.store.pump().is_ok() {
                 break;
             }
         }
-        self.ctx.poll_acks(n).map_err(|d| self.violation(n, d))?;
-        check_acked_durability(&mut self.ctx, n).map_err(|d| self.violation(n, d))?;
+        self.poll_acks(run, n_ops)?;
+        self.check_acked_durability(run)?;
         // Trace-based oracles: re-derive the causal properties from the
         // run's event log alone. A wrapped (truncated) trace cannot be
         // certified and is skipped — never treated as a pass or a failure.
-        if let Ok(records) = shardstore_obs::oracle::certify(self.obs.trace()) {
-            let budget = shardstore_dependency::DEFAULT_RETRY_BUDGET;
-            let mut checks: Vec<(&str, Result<(), shardstore_obs::oracle::OracleViolation>)> = vec![
-                ("span-wellformed", shardstore_obs::oracle::check_span_wellformed(&records)),
-                ("acked-durability", shardstore_obs::oracle::check_acked_durability(&records)),
-                ("retry-budget", shardstore_obs::oracle::check_retry_budget(&records, budget)),
-                ("cache-coherence", shardstore_obs::oracle::check_cache_coherence(&records)),
-                (
-                    "compaction-discipline",
-                    shardstore_obs::oracle::check_compaction_discipline(&records),
-                ),
-            ];
-            // Under background writeback the quarantine event (emitted by
-            // the writeback thread) and a concurrent cache hit on the main
-            // thread have no defined trace order, so the isolation oracle
-            // only holds in deterministic mode.
-            if !self.cfg.background_writeback {
-                checks.push((
-                    "quarantine-isolation",
-                    shardstore_obs::oracle::check_quarantine_isolation(&records),
-                ));
-            }
-            for (name, res) in checks {
-                if let Err(e) = res {
-                    return Err(self.violation(n, format!("trace oracle {name} failed: {e}")));
-                }
-            }
+        use shardstore_obs::oracle as trace;
+        let Ok(records) = trace::certify(run.store.obs().trace()) else {
+            return Ok(());
+        };
+        let budget = shardstore_dependency::DEFAULT_RETRY_BUDGET;
+        let mut checks = vec![
+            ("span-wellformed", trace::check_span_wellformed(&records)),
+            ("acked-durability", trace::check_acked_durability(&records)),
+            ("retry-budget", trace::check_retry_budget(&records, budget)),
+            ("cache-coherence", trace::check_cache_coherence(&records)),
+            ("compaction-discipline", trace::check_compaction_discipline(&records)),
+        ];
+        if !self.background_writeback {
+            checks.push(("quarantine-isolation", trace::check_quarantine_isolation(&records)));
         }
-        Ok(())
+        checks.into_iter().try_for_each(|(name, res)| {
+            res.map_err(|e| format!("trace oracle {name} failed: {e}"))
+        })
     }
 }
 
 /// Runs one operation sequence under one fault schedule, checking all
-/// three sweep properties. Returns per-run observations on success.
+/// three sweep properties. Returns per-run observations on success:
+/// whether the scheduler retried, whether an extent ended quarantined,
+/// degraded reads tolerated, and acknowledgements tracked.
 ///
 /// A thin frontend over the deterministic simulator: the enumerated
 /// [`FaultSchedule`] becomes a one-point [`shardstore_sim::SimSchedule`]
-/// and [`SweepWorld`] carries the checker state.
+/// — armed "immediately before" the scheduled operation — and the
+/// `AckPrecise` oracle carries the checker state.
 pub fn run_schedule(
     ops: &[KvOp],
     schedule: FaultSchedule,
     cfg: &SweepConfig,
     faults: &FaultConfig,
 ) -> Result<(bool, bool, u64, u64), SweepViolation> {
-    let store = Store::format(cfg.geometry, cfg.store.clone(), faults.clone());
-    if cfg.background_writeback {
-        store.scheduler().set_writeback_mode(shardstore_dependency::WritebackMode::Background(
-            shardstore_dependency::WritebackConfig::default(),
-        ));
-    }
-    let ctx = SweepCtx {
-        store,
-        model: KvModel::new(),
-        history: BTreeMap::new(),
-        tracked: Vec::new(),
-        puts_so_far: Vec::new(),
-        uncertain: std::collections::BTreeSet::new(),
-        deleted_after_ack: std::collections::BTreeSet::new(),
-        fault_armed: false,
-        degraded_reads: 0,
-    };
-    let obs = ctx.store.obs();
-    let retries_before = ctx.store.scheduler().counter("sched.retries");
-    let kind = match schedule.kind {
-        FaultKind::Transient(n) => shardstore_sim::SimFaultKind::Transient(n),
-        FaultKind::Permanent => shardstore_sim::SimFaultKind::Permanent,
+    let store_cfg = ConformanceConfig {
+        geometry: cfg.geometry,
+        store: cfg.store.clone(),
+        faults: faults.clone(),
+        background_writeback: cfg.background_writeback,
     };
     // The raw extent is offset by one so the world's wrap into live
     // geometry (`1 + raw % (extent_count - 1)`) lands exactly on the
@@ -437,369 +481,29 @@ pub fn run_schedule(
         faults: vec![shardstore_sim::FaultPoint {
             at_op: schedule.op_index,
             extent: schedule.extent.0.saturating_sub(1),
-            kind,
+            kind: schedule.kind,
         }],
         ..shardstore_sim::SimSchedule::clean()
     };
-    let mut world = SweepWorld { ops, cfg, ctx, obs, schedule };
-    shardstore_sim::Simulator::run(&mut world, ops.len(), &sim_schedule)?;
+    let oracle = AckPrecise::new(cfg.background_writeback);
+    let mut world = StoreWorld::new(ops, &store_cfg, oracle, &sim_schedule);
+    let retries_before = world.run.store.scheduler().counter("sched.retries");
+    shardstore_sim::Simulator::run(&mut world, ops.len(), &sim_schedule).map_err(|d| {
+        let d = d.with_timeline(&world.run.store);
+        SweepViolation {
+            schedule,
+            sequence: 0,
+            op_index: d.op_index,
+            detail: d.detail,
+            timeline: d.timeline,
+        }
+    })?;
     // A permanent schedule on an extent the run never touched simply never
     // quarantines: an uninteresting schedule, not a violation.
-    let retried = world.ctx.store.scheduler().counter("sched.retries") > retries_before;
-    let quarantined = !world.ctx.store.quarantined_extents().is_empty();
-    let acks = world.ctx.tracked.iter().filter(|t| t.acked).count() as u64;
-    Ok((retried, quarantined, world.ctx.degraded_reads, acks))
-}
-
-fn apply_swept_op(
-    ctx: &mut SweepCtx,
-    i: usize,
-    op: &KvOp,
-    page_size: usize,
-) -> Result<(), String> {
-    match op {
-        KvOp::Get(kr) => {
-            let key = kr.resolve(&ctx.puts_so_far);
-            let got = ctx.store.get(key);
-            check_get(ctx, i, key, got)?;
-        }
-        KvOp::Put(kr, spec) => {
-            let key = kr.resolve(&ctx.puts_so_far);
-            let value = Arc::new(spec.materialize(key, page_size));
-            match ctx.store.put(key, &value) {
-                Ok(dep) => {
-                    ctx.model.put(key, &value);
-                    let hist_idx = ctx.record_write(key, value);
-                    ctx.deleted_after_ack.remove(&key);
-                    ctx.tracked.push(Tracked { key, hist_idx: Some(hist_idx), dep, acked: false });
-                }
-                Err(e) if is_no_space(&e) => {}
-                Err(e) if ctx.tolerate(&e) => {
-                    ctx.record_write(key, value);
-                    ctx.uncertain.insert(key);
-                }
-                Err(e) => return Err(format!("put({key}) failed without a fault: {e}")),
-            }
-        }
-        KvOp::PutBatch(elems) => {
-            let batch: Vec<(u128, Arc<Vec<u8>>)> = elems
-                .iter()
-                .map(|(kr, spec)| {
-                    let key = kr.resolve(&ctx.puts_so_far);
-                    (key, Arc::new(spec.materialize(key, page_size)))
-                })
-                .collect();
-            let arg: Vec<(u128, Vec<u8>)> = batch.iter().map(|(k, v)| (*k, v.to_vec())).collect();
-            match ctx.store.put_batch(&arg) {
-                Ok(deps) => {
-                    for ((key, value), dep) in batch.into_iter().zip(deps) {
-                        ctx.model.put(key, &value);
-                        let hist_idx = ctx.record_write(key, value);
-                        ctx.deleted_after_ack.remove(&key);
-                        ctx.tracked.push(Tracked {
-                            key,
-                            hist_idx: Some(hist_idx),
-                            dep,
-                            acked: false,
-                        });
-                    }
-                }
-                Err(e) if is_no_space(&e) => {}
-                Err(e) if ctx.tolerate(&e) => {
-                    for (key, value) in batch {
-                        ctx.record_write(key, value);
-                        ctx.uncertain.insert(key);
-                    }
-                }
-                Err(e) => return Err(format!("put_batch failed without a fault: {e}")),
-            }
-        }
-        KvOp::Delete(kr) => {
-            let key = kr.resolve(&ctx.puts_so_far);
-            match ctx.store.delete(key) {
-                Ok(dep) => {
-                    ctx.model.delete(key);
-                    ctx.tracked.push(Tracked { key, hist_idx: None, dep, acked: false });
-                }
-                Err(e) if is_no_space(&e) => {}
-                Err(e) if ctx.tolerate(&e) => {
-                    // A partially-applied delete makes later absence legal.
-                    ctx.uncertain.insert(key);
-                    ctx.deleted_after_ack.insert(key);
-                }
-                Err(e) => return Err(format!("delete({key}) failed without a fault: {e}")),
-            }
-        }
-        KvOp::Scan(a, b) => {
-            let ka = a.resolve(&ctx.puts_so_far);
-            let kb = b.resolve(&ctx.puts_so_far);
-            let (start, end) = (ka.min(kb), ka.max(kb));
-            match ctx.store.scan(start, end) {
-                Ok(entries) => {
-                    // Without a fault armed the scan must be exactly the
-                    // model's range; with one, missing keys fall under the
-                    // per-key relaxations below.
-                    if !ctx.fault_armed {
-                        let got: Vec<u128> = entries.iter().map(|(k, _)| *k).collect();
-                        let exp: Vec<u128> =
-                            ctx.model.scan(start, end).iter().map(|(k, _)| *k).collect();
-                        if got != exp {
-                            return Err(format!(
-                                "scan key sets diverge: impl {got:?} vs model {exp:?}"
-                            ));
-                        }
-                    }
-                    // Each returned entry must be a readable key's current
-                    // or once-written value — reuse the point-get check.
-                    for (key, value) in entries {
-                        check_get(ctx, i, key, Ok(Some(value.to_vec())))?;
-                    }
-                }
-                Err(e) => {
-                    if e.is_degraded() {
-                        // Degraded mode: the scan crossed a quarantined
-                        // extent and honestly refused (§4.4) — it must
-                        // error rather than silently skip the key.
-                        ctx.degraded_reads += 1;
-                    } else if !ctx.fault_armed {
-                        return Err(format!("scan failed without a fault: {e}"));
-                    }
-                }
-            }
-        }
-        KvOp::IndexFlush => background_op(ctx, "flush", |c| c.store.flush_index())?,
-        KvOp::Compact => background_op(ctx, "compact", |c| c.store.compact_index())?,
-        KvOp::Reclaim(stream) => {
-            let stream = *stream;
-            background_op(ctx, "reclaim", |c| c.store.reclaim(stream).map(|_| ()))?
-        }
-        KvOp::CacheDrop => ctx.store.drop_caches(),
-        KvOp::Pump(n) => {
-            let sched = ctx.store.scheduler();
-            let r = sched.issue_ready(*n as usize).and_then(|_| sched.flush_issued());
-            if let Err(e) = r {
-                if !ctx.fault_armed {
-                    return Err(format!("pump failed without a fault: {e}"));
-                }
-                mark_all_uncertain(ctx);
-            }
-            // Pumping may have surfaced a permanent fault; let the store
-            // quarantine and evacuate.
-            let _ = ctx.store.evacuate_pending();
-        }
-        KvOp::Reboot => {
-            // On a no-space shutdown the memtable's keys — and only
-            // those — may roll back across the reboot (§4.4 resource
-            // exhaustion). Capture them so the model can be reconciled
-            // to the surviving state; never-wrong-data stays enforced.
-            let mut lost_unflushed: Vec<u128> = Vec::new();
-            if let Err(e) = ctx.store.clean_shutdown() {
-                if !ctx.tolerate(&e) && !is_no_space(&e) {
-                    return Err(format!("clean shutdown failed without a fault: {e}"));
-                }
-                lost_unflushed = ctx.store.unflushed_keys();
-                mark_all_uncertain(ctx);
-            }
-            match ctx.store.dirty_reboot(&CrashPlan::LoseAll) {
-                Ok(recovered) => ctx.store = recovered,
-                Err(e) => {
-                    if !ctx.fault_armed {
-                        return Err(format!("recovery failed without a fault: {e}"));
-                    }
-                    // Recovery blocked by the injected fault (a dead node
-                    // would be re-replicated from other hosts). Clear the
-                    // fault and retry so the sequence can continue; the
-                    // relaxation stays active.
-                    ctx.store.scheduler().disk().clear_failures();
-                    mark_all_uncertain(ctx);
-                    ctx.store = ctx
-                        .store
-                        .dirty_reboot(&CrashPlan::LoseAll)
-                        .map_err(|e| format!("recovery failed twice: {e}"))?;
-                }
-            }
-            for key in lost_unflushed {
-                match ctx.store.get(key) {
-                    Ok(Some(v)) => {
-                        if ctx.model.get(key).map(|e| **e == *v).unwrap_or(false) {
-                            continue;
-                        }
-                        if !ctx.was_written(key, &v) {
-                            return Err(format!(
-                                "key {key} returned bytes never written after a no-space \
-                                 shutdown"
-                            ));
-                        }
-                        ctx.model.put(key, &v);
-                    }
-                    Ok(None) => {
-                        ctx.model.delete(key);
-                    }
-                    Err(_) if ctx.fault_armed => {}
-                    Err(e) => {
-                        return Err(format!(
-                            "get({key}) failed after a no-space shutdown: {e}"
-                        ));
-                    }
-                }
-            }
-        }
-        KvOp::DirtyReboot(_) | KvOp::FailDiskOnce(_) => {
-            // Not part of the sweep alphabet (faults come from the
-            // schedule); treated as no-ops so alphabets can be shared.
-        }
-    }
-    Ok(())
-}
-
-fn background_op(
-    ctx: &mut SweepCtx,
-    what: &str,
-    f: impl FnOnce(&mut SweepCtx) -> Result<(), StoreError>,
-) -> Result<(), String> {
-    if let Err(e) = f(ctx) {
-        if !ctx.tolerate(&e) && !is_no_space(&e) {
-            return Err(format!("{what} failed without a fault: {e}"));
-        }
-        mark_all_uncertain(ctx);
-    }
-    Ok(())
-}
-
-fn mark_all_uncertain(ctx: &mut SweepCtx) {
-    let model_keys = ctx.model.list();
-    ctx.uncertain.extend(model_keys);
-    if let Ok(keys) = ctx.store.list() {
-        ctx.uncertain.extend(keys);
-    }
-    let hist_keys: Vec<u128> = ctx.history.keys().copied().collect();
-    ctx.uncertain.extend(hist_keys);
-}
-
-fn check_get(
-    ctx: &mut SweepCtx,
-    _i: usize,
-    key: u128,
-    got: Result<Option<Vec<u8>>, StoreError>,
-) -> Result<(), String> {
-    let expected = ctx.model.get(key);
-    let uncertain = ctx.uncertain.contains(&key);
-    match (got, expected, ctx.fault_armed) {
-        (Ok(None), None, _) => Ok(()),
-        (Ok(Some(g)), Some(e), _) if *g == **e => Ok(()),
-        (Err(e), _, true) => {
-            if e.is_degraded() {
-                ctx.degraded_reads += 1;
-            }
-            Ok(())
-        }
-        (Ok(None), Some(_), true) if uncertain || ctx.latest_write_unacked(key) => Ok(()),
-        (Ok(Some(g)), _, true)
-            if (uncertain || ctx.latest_write_unacked(key)) && ctx.was_written(key, &g) =>
-        {
-            Ok(())
-        }
-        (Ok(Some(g)), Some(e), _) => Err(format!(
-            "get({key}) returned {} bytes, model has {} bytes",
-            g.len(),
-            e.len()
-        )),
-        (Ok(Some(_)), None, _) => Err(format!("get({key}) returned data for an absent key")),
-        (Ok(None), Some(_), _) => Err(format!("get({key}) lost data the model still has")),
-        (Err(e), _, false) => Err(format!("get({key}) failed without a fault: {e}")),
-    }
-}
-
-/// Per-step relaxed conformance check (the §4.4 invariant): untouched
-/// keys are never silently lost, and nothing readable was never written.
-fn check_step(ctx: &SweepCtx, _i: usize) -> Result<(), String> {
-    let impl_keys = match ctx.store.list() {
-        Ok(k) => k,
-        Err(_) if ctx.fault_armed => return Ok(()),
-        Err(e) => return Err(format!("list failed without a fault: {e}")),
-    };
-    let model_keys = ctx.model.list();
-    if !ctx.fault_armed {
-        if impl_keys != model_keys {
-            return Err(format!(
-                "key sets diverge: impl {impl_keys:?} vs model {model_keys:?}"
-            ));
-        }
-        return Ok(());
-    }
-    for key in model_keys.iter().filter(|k| !ctx.uncertain.contains(k)) {
-        if !impl_keys.contains(key) && !ctx.latest_write_unacked(*key) {
-            return Err(format!("acked key {key} lost although no operation on it failed"));
-        }
-    }
-    for key in &impl_keys {
-        if let Ok(Some(got)) = ctx.store.get(*key) {
-            if !ctx.was_written(*key, &got) {
-                return Err(format!("key {key} returned bytes that were never written"));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The durability-under-quarantine property, checked after the sequence
-/// settles: every key with an acknowledged write reads back as its acked
-/// value or a later-written one, or fails *degraded* — never `None`
-/// (unless deleted after the ack), and never unwritten bytes.
-fn check_acked_durability(ctx: &mut SweepCtx, _at: usize) -> Result<(), String> {
-    let acked = ctx.acked_values();
-    for (key, acked_idx) in acked {
-        if ctx.deleted_after_ack.contains(&key) {
-            continue;
-        }
-        // A later (possibly unacked) delete makes absence legal; only
-        // keys the model still holds carry the strict obligation.
-        if ctx.model.get(key).is_none() {
-            continue;
-        }
-        // Tolerate leftover transient counts: retry the read a couple of
-        // times before judging.
-        let mut last = ctx.store.get(key);
-        for _ in 0..2 {
-            if last.is_ok() {
-                break;
-            }
-            last = ctx.store.get(key);
-        }
-        match last {
-            Ok(Some(got)) => {
-                let hist = ctx.history.get(&key).expect("acked key has history");
-                let ok = hist[acked_idx..].iter().any(|v| ***v == *got);
-                if !ok {
-                    return Err(format!(
-                        "durability violated: acked key {key} read back bytes older than (or \
-                         foreign to) its acknowledged write"
-                    ));
-                }
-            }
-            Ok(None) => {
-                return Err(format!(
-                    "durability violated: acked key {key} is silently missing (no delete, no \
-                     degraded error)"
-                ));
-            }
-            Err(e) if e.is_degraded() => {
-                ctx.degraded_reads += 1;
-            }
-            Err(e) => {
-                // At quiescence the only legitimate read failure for an
-                // acknowledged key is a *distinguishable* degraded error
-                // (its extent quarantined). Anything else — e.g. a
-                // NotFound because some maintenance pass forgot the chunk
-                // — is silent loss of acknowledged data.
-                return Err(format!(
-                    "durability violated: acked key {key} unreadable with a non-degraded \
-                     error: {e}"
-                ));
-            }
-        }
-    }
-    Ok(())
+    let store = &world.run.store;
+    let retried = store.scheduler().counter("sched.retries") > retries_before;
+    let quarantined = !store.quarantined_extents().is_empty();
+    Ok((retried, quarantined, world.oracle.degraded_reads, world.oracle.acks()))
 }
 
 /// Sweeps every enumerated fault schedule over `cfg.sequences` generated

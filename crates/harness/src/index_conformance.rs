@@ -38,16 +38,6 @@ pub fn index_ops(bias: bool, max_len: usize) -> impl Strategy<Value = Vec<IndexO
     proptest::collection::vec(op, 1..max_len)
 }
 
-fn diverge(op_index: usize, op: &IndexOp, detail: impl Into<String>) -> Divergence {
-    Divergence {
-        op_index,
-        op: format!("{op:?}"),
-        detail: detail.into(),
-        timeline: String::new(),
-        dropped_events: 0,
-    }
-}
-
 /// Synthesizes a locator list for a `Put(key, v)` op: locators are index
 /// *values* here, so any well-formed list works; deriving them from the
 /// arguments keeps runs deterministic.
@@ -83,10 +73,10 @@ pub fn run_index_conformance(ops: &[IndexOp], faults: &FaultConfig) -> Result<()
                 let key = kr.resolve(&puts_so_far);
                 let got = implementation
                     .get(key)
-                    .map_err(|e| diverge(i, op, format!("get failed: {e}")))?;
+                    .map_err(|e| Divergence::at(i, op, format!("get failed: {e}")))?;
                 let expected = reference.get(key);
                 if got != expected {
-                    return Err(diverge(
+                    return Err(Divergence::at(
                         i,
                         op,
                         format!("get({key}): impl {got:?} vs model {expected:?}"),
@@ -110,13 +100,13 @@ pub fn run_index_conformance(ops: &[IndexOp], faults: &FaultConfig) -> Result<()
             IndexOp::Flush => {
                 implementation
                     .flush()
-                    .map_err(|e| diverge(i, op, format!("flush failed: {e}")))?;
+                    .map_err(|e| Divergence::at(i, op, format!("flush failed: {e}")))?;
                 reference.flush();
             }
             IndexOp::Compact => {
                 implementation
                     .compact()
-                    .map_err(|e| diverge(i, op, format!("compact failed: {e}")))?;
+                    .map_err(|e| Divergence::at(i, op, format!("compact failed: {e}")))?;
                 reference.compact();
             }
             IndexOp::Reclaim => {
@@ -128,33 +118,33 @@ pub fn run_index_conformance(ops: &[IndexOp], faults: &FaultConfig) -> Result<()
                     implementation
                         .cache()
                         .reclaim(victim, Stream::Lsm, &referencer)
-                        .map_err(|e| diverge(i, op, format!("reclaim failed: {e}")))?;
+                        .map_err(|e| Divergence::at(i, op, format!("reclaim failed: {e}")))?;
                     implementation.note_extent_reset();
                 }
             }
             IndexOp::Reboot => {
                 implementation
                     .shutdown()
-                    .map_err(|e| diverge(i, op, format!("shutdown failed: {e}")))?;
+                    .map_err(|e| Divergence::at(i, op, format!("shutdown failed: {e}")))?;
                 let sched =
                     implementation.cache().chunk_store().extent_manager().scheduler().clone();
                 sched.crash(&CrashPlan::LoseAll);
                 let em = ExtentManager::recover(sched, faults.clone())
-                    .map_err(|e| diverge(i, op, format!("em recovery failed: {e}")))?;
+                    .map_err(|e| Divergence::at(i, op, format!("em recovery failed: {e}")))?;
                 let cs = ChunkStore::recover(em, faults.clone(), 2025)
-                    .map_err(|e| diverge(i, op, format!("cs recovery failed: {e}")))?;
+                    .map_err(|e| Divergence::at(i, op, format!("cs recovery failed: {e}")))?;
                 let cache = CachedChunkStore::new(cs, faults.clone(), 512);
                 implementation = LsmIndex::recover(cache, faults.clone())
-                    .map_err(|e| diverge(i, op, format!("index recovery failed: {e}")))?;
+                    .map_err(|e| Divergence::at(i, op, format!("index recovery failed: {e}")))?;
             }
         }
         // Fig. 3 line 24: check_invariants — both sides hold the same
         // key → locator mapping.
         let impl_keys = implementation
             .keys()
-            .map_err(|e| diverge(i, op, format!("keys failed: {e}")))?;
+            .map_err(|e| Divergence::at(i, op, format!("keys failed: {e}")))?;
         if impl_keys != reference.keys() {
-            return Err(diverge(
+            return Err(Divergence::at(
                 i,
                 op,
                 format!("key sets diverge: impl {impl_keys:?} vs model {:?}", reference.keys()),
@@ -163,9 +153,9 @@ pub fn run_index_conformance(ops: &[IndexOp], faults: &FaultConfig) -> Result<()
         for key in &impl_keys {
             let got = implementation
                 .get(*key)
-                .map_err(|e| diverge(i, op, format!("invariant get failed: {e}")))?;
+                .map_err(|e| Divergence::at(i, op, format!("invariant get failed: {e}")))?;
             if got != reference.get(*key) {
-                return Err(diverge(i, op, format!("value diverges for key {key}")));
+                return Err(Divergence::at(i, op, format!("value diverges for key {key}")));
             }
         }
     }

@@ -1,337 +1,201 @@
 //! Conformance checking for the multi-disk node's control plane.
 //!
 //! Same refinement idea as [`crate::conformance`], but over [`NodeOp`]
-//! sequences against the API-level [`KvModel`]. Disk removal and return
-//! are modelled explicitly: while a disk is out of service, its shards
-//! are unavailable (requests error), but *returning* the disk must bring
-//! every shard back — the property issue #4 violated.
+//! sequences against the API-level KV model. Disk removal and return are
+//! modelled explicitly (the `DiskRemoval` oracle): while a disk is
+//! out of service, its shards are unavailable (requests error), but
+//! *returning* the disk must bring every shard back — the property issue
+//! #4 violated.
 
 use std::sync::Arc;
 
-use shardstore_core::{Node, StoreConfig, StoreError};
+use shardstore_core::rpc::{ErrorCode, Request, Response};
+use shardstore_core::Node;
 use shardstore_model::KvModel;
-use shardstore_vdisk::Geometry;
+use shardstore_sim::SimSchedule;
 
 use crate::conformance::{ConformanceConfig, Divergence};
+use crate::interp::{NodeObservation, NodeRun};
 use crate::ops::NodeOp;
+use crate::oracle::Oracle;
+use crate::simulate::{run_node_sim, run_node_sim_on, SimOptions};
 
-fn diverge(op_index: usize, op: &NodeOp, detail: impl Into<String>) -> Divergence {
-    Divergence {
-        op_index,
-        op: format!("{op:?}"),
-        detail: detail.into(),
-        timeline: String::new(),
-        dropped_events: 0,
-    }
-}
-
-fn is_no_space(e: &StoreError) -> bool {
-    crate::conformance_no_space(e)
-}
-
-/// Runs a node-level operation sequence against the KV model.
+/// Runs a node-level operation sequence against the KV model on a fresh
+/// `num_disks`-disk node.
 ///
-/// The model is oblivious to disks; the runner tracks which disks are out
-/// of service and expects `OutOfService` errors for shards routed to
-/// them, while keeping the model unchanged (the data still exists, it is
-/// just unavailable — and must be *available again* after `ReturnDisk`).
+/// A thin frontend over the deterministic simulator (clean schedule = a
+/// straight-line loop).
 pub fn run_node_conformance(
     ops: &[NodeOp],
     cfg: &ConformanceConfig,
     num_disks: usize,
 ) -> Result<(), Divergence> {
-    let node = Node::new(num_disks, cfg.geometry, cfg.store.clone(), cfg.faults.clone());
-    if cfg.background_writeback {
-        for disk in 0..num_disks {
-            if let Some(store) = node.store(disk) {
-                store.scheduler().set_writeback_mode(
-                    shardstore_dependency::WritebackMode::Background(
-                        shardstore_dependency::WritebackConfig::default(),
-                    ),
-                );
-            }
-        }
-    }
-    run_node_conformance_on(ops, cfg, &node)
+    run_node_sim(ops, cfg, num_disks, &SimSchedule::clean(), &SimOptions::default()).map(drop)
 }
 
 /// Like [`run_node_conformance`] but against a caller-provided node.
-///
-/// A thin frontend over the deterministic simulator (clean schedule =
-/// the historical loop).
 pub fn run_node_conformance_on(
     ops: &[NodeOp],
     cfg: &ConformanceConfig,
     node: &Node,
 ) -> Result<(), Divergence> {
-    crate::simulate::run_node_sim_on(
-        ops,
-        cfg,
-        node,
-        &shardstore_sim::SimSchedule::clean(),
-        &crate::simulate::SimOptions::default(),
-    )
-    .map(|_| ())
+    run_node_sim_on(ops, cfg, node, &SimSchedule::clean(), &SimOptions::default()).map(drop)
 }
 
-/// Mutable checker state threaded through [`node_step`].
-pub(crate) struct NodeRunState {
-    pub model: KvModel,
-    pub puts_so_far: Vec<u128>,
-    pub removed: Vec<bool>,
-    pub skipped: usize,
+/// Control-plane conformance against [`KvModel`]. The model is oblivious
+/// to disks: while a disk is out of service its shards are unavailable
+/// (requests are refused) and the model is left unchanged — the data
+/// still exists, and must be *available again* after `ReturnDisk`, the
+/// property issue #4 violated. Not failure-relaxed: any other refusal
+/// than a removed disk or a full one is a divergence.
+#[derive(Default)]
+pub(crate) struct DiskRemoval {
+    model: KvModel,
 }
 
-impl NodeRunState {
-    pub fn new(node: &Node) -> Self {
-        Self {
-            model: KvModel::new(),
-            puts_so_far: Vec::new(),
-            removed: vec![false; node.disk_count()],
-            skipped: 0,
+/// Sorts a reply to a mutating request: accepted, or refused for a
+/// reason the checker excuses.
+fn accepted(
+    run: &mut NodeRun,
+    what: &str,
+    on_removed_disk: bool,
+    reply: Response,
+) -> Result<bool, String> {
+    match reply {
+        Response::Ok => Ok(true),
+        Response::Error(e) if e.code == ErrorCode::OutOfService && on_removed_disk => Ok(false),
+        Response::Error(e) if e.code == ErrorCode::NoSpace => {
+            run.skipped_no_space += 1;
+            Ok(false)
         }
+        other => Err(format!("{what} failed: {other:?}")),
     }
 }
 
-/// One control-plane conformance step (the historical loop body), shared
-/// by the frontend above and the simulator's node world.
-pub(crate) fn node_step(
-    st: &mut NodeRunState,
-    node: &Node,
-    cfg: &ConformanceConfig,
-    i: usize,
-    op: &NodeOp,
-) -> Result<(), Divergence> {
-    if node_step_op(st, node, cfg, i, op)? {
-        // The historical loop `continue`d past the catalog check for
-        // skipped batches; preserved verbatim.
-        return Ok(());
+/// The shard a read returned (`None` = absent), or the reply that was not
+/// a read result.
+fn payload(reply: Response) -> Result<Option<Vec<u8>>, Response> {
+    match reply {
+        Response::Data(v) => Ok(Some(v.to_vec())),
+        Response::NotFound => Ok(None),
+        other => Err(other),
     }
-    // Catalog/index consistency is an always-on invariant.
-    if let Err(detail) = node.check_catalog_consistent() {
-        return Err(diverge(i, op, detail));
-    }
-    Ok(())
 }
 
-/// The op dispatch itself; returns true when the historical loop would
-/// have `continue`d (skipping the catalog check).
-fn node_step_op(
-    st: &mut NodeRunState,
-    node: &Node,
-    cfg: &ConformanceConfig,
-    i: usize,
-    op: &NodeOp,
-) -> Result<bool, Divergence> {
-    let _ = (Geometry::small(), StoreConfig::small());
-    let model = &mut st.model;
-    let puts_so_far = &mut st.puts_so_far;
-    let removed = &mut st.removed;
-    let page_size = cfg.geometry.page_size;
-    let skipped = &mut st.skipped;
-    {
-        match op {
-            NodeOp::Get(kr) => {
-                let key = kr.resolve(puts_so_far);
-                let disk = node.route(key);
-                match node.get(key) {
-                    Err(StoreError::OutOfService) if removed[disk] => {}
-                    Err(e) if is_no_space(&e) => {}
-                    Err(e) => return Err(diverge(i, op, format!("get failed: {e}"))),
-                    Ok(got) => {
-                        if removed[disk] {
-                            return Err(diverge(i, op, "get served from a removed disk"));
+fn same(got: &Option<Vec<u8>>, expected: &Option<Arc<Vec<u8>>>) -> bool {
+    got.as_deref() == expected.as_ref().map(|e| e.as_slice())
+}
+
+impl Oracle<NodeOp, NodeRun, NodeObservation> for DiskRemoval {
+    fn observe(&mut self, run: &mut NodeRun, obs: NodeObservation) -> Result<(), String> {
+        match obs {
+            NodeObservation::Get { key, on_removed_disk, reply } => {
+                let got = match payload(reply) {
+                    Ok(got) => got,
+                    Err(Response::Error(e))
+                        if e.code == ErrorCode::NoSpace
+                            || (e.code == ErrorCode::OutOfService && on_removed_disk) =>
+                    {
+                        return Ok(());
+                    }
+                    Err(other) => return Err(format!("get failed: {other:?}")),
+                };
+                if on_removed_disk {
+                    return Err("get served from a removed disk".to_string());
+                }
+                let expected = self.model.get(key);
+                if !same(&got, &expected) {
+                    return Err(format!(
+                        "get({key}) mismatch: impl {:?} vs model {:?} bytes",
+                        got.map(|v| v.len()),
+                        expected.map(|v| v.len())
+                    ));
+                }
+                Ok(())
+            }
+            NodeObservation::Mutated { what, writes, on_removed_disk, reply } => {
+                if !accepted(run, what, on_removed_disk, reply)? {
+                    return Ok(());
+                }
+                if on_removed_disk {
+                    return Err(format!("{what} accepted by a removed disk"));
+                }
+                for (key, value) in writes {
+                    match value {
+                        Some(v) => {
+                            self.model.put(key, &v);
+                            run.puts_so_far.push(key);
                         }
-                        let expected = model.get(key);
-                        let ok = match (&got, &expected) {
-                            (None, None) => true,
-                            (Some(g), Some(e)) => *g == ***e,
-                            _ => false,
-                        };
-                        if !ok {
-                            return Err(diverge(
-                                i,
-                                op,
-                                format!(
-                                    "get({key}) mismatch: impl {:?} vs model {:?} bytes",
-                                    got.map(|v| v.len()),
-                                    expected.map(|v| v.len())
-                                ),
-                            ));
+                        None => {
+                            self.model.delete(key);
                         }
                     }
                 }
+                Ok(())
             }
-            NodeOp::Put(kr, spec) => {
-                let key = kr.resolve(puts_so_far);
-                let disk = node.route(key);
-                let value = Arc::new(spec.materialize(key, page_size));
-                match node.put(key, &value) {
-                    Ok(_) => {
-                        if removed[disk] {
-                            return Err(diverge(i, op, "put accepted by a removed disk"));
-                        }
-                        model.put(key, &value);
-                        puts_so_far.push(key);
-                    }
-                    Err(StoreError::OutOfService) if removed[disk] => {}
-                    Err(e) if is_no_space(&e) => *skipped += 1,
-                    Err(e) => return Err(diverge(i, op, format!("put failed: {e}"))),
-                }
-            }
-            NodeOp::Delete(kr) => {
-                let key = kr.resolve(puts_so_far);
-                let disk = node.route(key);
-                match node.delete(key) {
-                    Ok(_) => {
-                        model.delete(key);
-                    }
-                    Err(StoreError::OutOfService) if removed[disk] => {}
-                    Err(e) if is_no_space(&e) => *skipped += 1,
-                    Err(e) => return Err(diverge(i, op, format!("delete failed: {e}"))),
-                }
-            }
-            NodeOp::List => {
-                let listed = node.list();
+            NodeObservation::Listed(reply) => {
+                let Response::Shards(listed) = reply else {
+                    return Err(format!("list failed: {reply:?}"));
+                };
                 // The listing must cover every model key on an in-service
                 // disk, and nothing the model does not have.
-                for key in &listed {
-                    if model.get(*key).is_none() {
-                        return Err(diverge(i, op, format!("listed phantom shard {key}")));
-                    }
+                if let Some(key) = listed.iter().find(|k| self.model.get(**k).is_none()) {
+                    return Err(format!("listed phantom shard {key}"));
                 }
-                for key in model.list() {
-                    if !removed[node.route(key)] && !listed.contains(&key) {
-                        return Err(diverge(i, op, format!("listing missed shard {key}")));
-                    }
-                }
-            }
-            NodeOp::RemoveDisk(d) => {
-                let disk = *d as usize % node.disk_count();
-                match node.remove_disk(disk) {
-                    Ok(()) => removed[disk] = true,
-                    Err(StoreError::OutOfService) if removed[disk] => {}
-                    Err(e) if is_no_space(&e) => *skipped += 1,
-                    Err(e) => return Err(diverge(i, op, format!("remove_disk failed: {e}"))),
+                let node = run.port.node();
+                let in_service = |k: &u128| !run.removed[node.route(*k)];
+                match self.model.list().into_iter().find(|k| in_service(k) && !listed.contains(k)) {
+                    Some(key) => Err(format!("listing missed shard {key}")),
+                    None => Ok(()),
                 }
             }
-            NodeOp::ReturnDisk(d) => {
-                let disk = *d as usize % node.disk_count();
-                match node.return_disk(disk) {
-                    Ok(()) => {
-                        removed[disk] = false;
-                        // The core durability property of disk return:
-                        // every model shard on this disk is available
-                        // again with its data intact.
-                        for key in model.list() {
-                            if node.route(key) != disk {
-                                continue;
-                            }
-                            let expected = model.get(key).expect("listed key");
-                            match node.get(key) {
-                                Ok(Some(got)) if got == **expected => {}
-                                other => {
-                                    return Err(diverge(
-                                        i,
-                                        op,
-                                        format!(
-                                            "shard {key} lost across disk removal/return: {other:?}"
-                                        ),
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    Err(e) if is_no_space(&e) => *skipped += 1,
-                    Err(e) => return Err(diverge(i, op, format!("return_disk failed: {e}"))),
+            NodeObservation::DiskRemoved { disk, reply } => {
+                if accepted(run, "remove_disk", run.removed[disk], reply)? {
+                    run.removed[disk] = true;
                 }
+                Ok(())
             }
-            NodeOp::BulkCreate(batch) => {
-                let resolved: Vec<(u128, Vec<u8>)> = batch
-                    .iter()
-                    .map(|(kr, spec)| {
-                        let key = kr.resolve(puts_so_far);
-                        (key, spec.materialize(key, page_size))
-                    })
-                    .collect();
-                // Skip batches touching removed disks (the control plane
-                // would not target them).
-                if resolved.iter().any(|(k, _)| removed[node.route(*k)]) {
-                    return Ok(true);
+            NodeObservation::DiskReturned { disk, reply } => {
+                if !accepted(run, "return_disk", false, reply)? {
+                    return Ok(());
                 }
-                match node.bulk_create(&resolved) {
-                    Ok(_) => {
-                        for (key, value) in resolved {
-                            model.put(key, &value);
-                            puts_so_far.push(key);
-                        }
+                run.removed[disk] = false;
+                // The core durability property of disk return: every
+                // model shard on this disk is served again, data intact.
+                for key in self.model.list() {
+                    if run.port.node().route(key) != disk {
+                        continue;
                     }
-                    Err(e) if is_no_space(&e) => *skipped += 1,
-                    Err(e) => return Err(diverge(i, op, format!("bulk create failed: {e}"))),
+                    let got = payload(run.port.call(Request::Get { shard: key })?);
+                    if !got.as_ref().is_ok_and(|got| same(got, &self.model.get(key))) {
+                        return Err(format!("shard {key} lost across disk removal/return: {got:?}"));
+                    }
                 }
+                Ok(())
             }
-            NodeOp::BulkRemove(batch) => {
-                let resolved: Vec<u128> =
-                    batch.iter().map(|kr| kr.resolve(puts_so_far)).collect();
-                if resolved.iter().any(|k| removed[node.route(*k)]) {
-                    return Ok(true);
+            NodeObservation::Migrated { key, to_disk, on_removed_disk, reply } => {
+                if !accepted(run, "migrate", on_removed_disk, reply)? || on_removed_disk {
+                    return Ok(());
                 }
-                match node.bulk_remove(&resolved) {
-                    Ok(_) => {
-                        for key in resolved {
-                            model.delete(key);
-                        }
-                    }
-                    Err(e) if is_no_space(&e) => *skipped += 1,
-                    Err(e) => return Err(diverge(i, op, format!("bulk remove failed: {e}"))),
+                // Migration must preserve the data exactly.
+                let expected = self.model.get(key);
+                let got = payload(run.port.call(Request::Get { shard: key })?)
+                    .map_err(|other| format!("post-migrate get failed: {other:?}"))?;
+                if !same(&got, &expected) {
+                    return Err(format!("shard {key} changed across migration"));
                 }
-            }
-            NodeOp::Migrate(kr, d) => {
-                let key = kr.resolve(puts_so_far);
-                let to_disk = *d as usize % node.disk_count();
-                let from_disk = node.route(key);
-                if removed[from_disk] || removed[to_disk] {
-                    match node.migrate(key, to_disk) {
-                        Err(StoreError::OutOfService) => {}
-                        Err(e) if is_no_space(&e) => *skipped += 1,
-                        Err(e) => {
-                            return Err(diverge(i, op, format!("migrate failed: {e}")))
-                        }
-                        Ok(_) => {}
-                    }
-                    return Ok(true);
+                // Placement flips only for shards that exist; a missing
+                // shard's migrate is a no-op.
+                if expected.is_some() && run.port.node().route(key) != to_disk {
+                    return Err("placement not updated".to_string());
                 }
-                match node.migrate(key, to_disk) {
-                    Ok(_) => {
-                        // Migration must preserve the data exactly.
-                        let expected = model.get(key);
-                        let got = node.get(key).map_err(|e| {
-                            diverge(i, op, format!("post-migrate get failed: {e}"))
-                        })?;
-                        let ok = match (&expected, &got) {
-                            (None, None) => true,
-                            (Some(e), Some(g)) => ***e == **g,
-                            _ => false,
-                        };
-                        if !ok {
-                            return Err(diverge(
-                                i,
-                                op,
-                                format!("shard {key} changed across migration"),
-                            ));
-                        }
-                        // Placement flips only for shards that exist; a
-                        // missing shard's migrate is a no-op.
-                        if expected.is_some() && node.route(key) != to_disk {
-                            return Err(diverge(i, op, "placement not updated"));
-                        }
-                    }
-                    Err(e) if is_no_space(&e) => *skipped += 1,
-                    Err(e) => return Err(diverge(i, op, format!("migrate failed: {e}"))),
-                }
+                Ok(())
             }
         }
     }
-    let _ = skipped;
-    Ok(false)
+
+    /// Catalog/index consistency is an always-on invariant.
+    fn after_op(&mut self, run: &mut NodeRun, _at: usize) -> Result<(), String> {
+        run.port.node().check_catalog_consistent()
+    }
 }

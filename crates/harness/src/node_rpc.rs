@@ -16,10 +16,10 @@
 
 use shardstore_conc::{check, thread, CheckError, CheckOptions, CheckReport};
 use shardstore_core::{Engine, EngineConfig, Node, NodeConfig, RpcClient, StoreConfig};
-use shardstore_dependency::IoScheduler;
 use shardstore_faults::FaultConfig;
 use shardstore_vdisk::Geometry;
 
+use crate::enable_background;
 use crate::lin::{check_linearizable, HistoryRecorder, KvLinOp, KvLinRet, KvSpec};
 
 fn small_node(faults: &FaultConfig, disks: usize) -> (Node, EngineConfig) {
@@ -38,11 +38,6 @@ fn small_node(faults: &FaultConfig, disks: usize) -> (Node, EngineConfig) {
         .build()
         .expect("valid node config");
     (Node::from_config(&config), config.engine)
-}
-
-fn enable_background(sched: &IoScheduler) {
-    use shardstore_dependency::{WritebackConfig, WritebackMode};
-    sched.set_writeback_mode(WritebackMode::Background(WritebackConfig::default()));
 }
 
 type Recorder = HistoryRecorder<KvLinOp, KvLinRet>;

@@ -160,6 +160,25 @@ impl KvOp {
     pub fn fail_target(extent_raw: u8, extent_count: u32) -> ExtentId {
         ExtentId(extent_raw as u32 % extent_count)
     }
+
+    /// Coverage probe name for this operation kind.
+    pub fn probe(&self) -> &'static str {
+        match self {
+            KvOp::Get(_) => "sim.op.get",
+            KvOp::Put(..) => "sim.op.put",
+            KvOp::PutBatch(_) => "sim.op.put_batch",
+            KvOp::Delete(_) => "sim.op.delete",
+            KvOp::Scan(..) => "sim.op.scan",
+            KvOp::IndexFlush => "sim.op.index_flush",
+            KvOp::Compact => "sim.op.compact",
+            KvOp::Reclaim(_) => "sim.op.reclaim",
+            KvOp::CacheDrop => "sim.op.cache_drop",
+            KvOp::Pump(_) => "sim.op.pump",
+            KvOp::Reboot => "sim.op.reboot",
+            KvOp::DirtyReboot(_) => "sim.op.dirty_reboot",
+            KvOp::FailDiskOnce(_) => "sim.op.fail_disk",
+        }
+    }
 }
 
 /// The index-level operation alphabet (the literal Fig. 3 `IndexOp`).
@@ -202,6 +221,23 @@ pub enum NodeOp {
     BulkRemove(Vec<KeyRef>),
     /// Migrate a shard to another disk.
     Migrate(KeyRef, u8),
+}
+
+impl NodeOp {
+    /// Coverage probe name for this operation kind.
+    pub fn probe(&self) -> &'static str {
+        match self {
+            NodeOp::Get(_) => "sim.op.get",
+            NodeOp::Put(..) => "sim.op.put",
+            NodeOp::Delete(_) => "sim.op.delete",
+            NodeOp::List => "sim.op.list",
+            NodeOp::RemoveDisk(_) => "sim.op.remove_disk",
+            NodeOp::ReturnDisk(_) => "sim.op.return_disk",
+            NodeOp::BulkCreate(_) => "sim.op.bulk_create",
+            NodeOp::BulkRemove(_) => "sim.op.bulk_remove",
+            NodeOp::Migrate(..) => "sim.op.migrate",
+        }
+    }
 }
 
 #[cfg(test)]

@@ -2,19 +2,23 @@
 //!
 //! This module binds the [`shardstore_sim`] substrate — one seeded event
 //! loop owning logical time and a unified queue of timer ticks, message
-//! deliveries, disk-fault armings, and whole-node crash-restarts — to the
-//! concrete harness runners. Each *world* wraps one system under test
-//! plus its reference model:
+//! deliveries, disk-fault armings, and whole-node crash-restarts — to a
+//! system under test, the `interp` interpreter that drives it,
+//! and the `Oracle` that judges what the interpreter observed.
+//! There are two worlds, one per alphabet, and the frontends differ only
+//! in the oracle (or transport) they plug in:
 //!
-//! - [`run_conformance_sim`] — a [`shardstore_core::Store`] against
-//!   [`KvModel`] (§4, the crash-free refinement);
-//! - [`run_crash_sim`] — a store against [`CrashAwareKvModel`] (§5), the
-//!   only world that honors crash-restart schedule points;
-//! - [`run_node_sim_on`] — a multi-disk [`Node`] control plane against
-//!   [`KvModel`];
-//! - [`run_rpc_sim`] — the same control-plane alphabet driven through
-//!   the request plane: a manual-mode [`Engine`] whose executors only
-//!   make progress when the event loop delivers, with every request
+//! - [`run_conformance_sim`] — a [`Store`] under the strict/§4.4-relaxed
+//!   oracle (§4, the crash-free refinement);
+//! - [`run_crash_sim`] — a store under the crash-aware oracle (§5), the
+//!   only one that honors crash-restart schedule points;
+//! - [`crate::fault_sweep::run_schedule`] — a store under the
+//!   ack-precise oracle, one enumerated fault per run;
+//! - [`run_node_sim_on`] — a multi-disk [`Node`] control plane under the
+//!   disk-removal oracle, called directly;
+//! - [`run_rpc_sim`] — the same alphabet and oracle driven through the
+//!   request plane: a manual-mode [`Engine`] whose executors only make
+//!   progress when the event loop delivers, with every request
 //!   round-tripped through the wire codec.
 //!
 //! Operations double as messages: `Apply(i)` *sends* operation `i`
@@ -22,26 +26,20 @@
 //! executes it against both implementation and model. Because the model
 //! updates at delivery order, drops, delays, and reorders are naturally
 //! consistent — a clean schedule delivers each message immediately after
-//! its send, reproducing the historical straight-line runner loops event
-//! for event, so every seeded-bug seed keeps failing through this entry
-//! point.
+//! its send, reproducing a straight-line runner loop event for event.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
-use shardstore_core::rpc::{ErrorCode, Request, Response};
-use shardstore_core::{Engine, EngineConfig, Node, RpcClient, Store};
+use shardstore_core::{Engine, EngineConfig, Node, Store};
 use shardstore_faults::coverage;
-use shardstore_model::{CrashAwareKvModel, KvModel};
-use shardstore_sim::{CrashPoint, SimCtx, SimReport, SimSchedule, Simulator, World};
-use shardstore_vdisk::ExtentId;
+use shardstore_sim::{CrashPoint, FaultPoint, SimCtx, SimReport, SimSchedule, Simulator, World};
 
-use crate::conformance::{
-    apply_op, check_invariants, ConformanceConfig, Divergence, RunCtx, RunReport,
-};
-use crate::crash::{crash_step, dirty_reboot};
-use crate::node_conformance::{node_step, NodeRunState};
+use crate::conformance::{ConformanceConfig, Divergence, RunReport, Strict};
+use crate::crash::CrashAware;
+use crate::interp::{self, NodePort, NodeRun, Run};
+use crate::node_conformance::DiskRemoval;
 use crate::ops::{KvOp, NodeOp, RebootType};
+use crate::oracle::Oracle;
 
 /// Per-run options orthogonal to the schedule.
 #[derive(Debug, Clone, Copy, Default)]
@@ -98,54 +96,6 @@ impl NetPlan {
     }
 }
 
-/// Coverage probe name for a KV-alphabet operation kind.
-pub(crate) fn kv_probe(op: &KvOp) -> &'static str {
-    match op {
-        KvOp::Get(_) => "sim.op.get",
-        KvOp::Put(..) => "sim.op.put",
-        KvOp::PutBatch(_) => "sim.op.put_batch",
-        KvOp::Delete(_) => "sim.op.delete",
-        KvOp::Scan(..) => "sim.op.scan",
-        KvOp::IndexFlush => "sim.op.index_flush",
-        KvOp::Compact => "sim.op.compact",
-        KvOp::Reclaim(_) => "sim.op.reclaim",
-        KvOp::CacheDrop => "sim.op.cache_drop",
-        KvOp::Pump(_) => "sim.op.pump",
-        KvOp::Reboot => "sim.op.reboot",
-        KvOp::DirtyReboot(_) => "sim.op.dirty_reboot",
-        KvOp::FailDiskOnce(_) => "sim.op.fail_disk",
-    }
-}
-
-/// Coverage probe name for a node-alphabet operation kind.
-fn node_probe(op: &NodeOp) -> &'static str {
-    match op {
-        NodeOp::Get(_) => "sim.op.get",
-        NodeOp::Put(..) => "sim.op.put",
-        NodeOp::Delete(_) => "sim.op.delete",
-        NodeOp::List => "sim.op.list",
-        NodeOp::RemoveDisk(_) => "sim.op.remove_disk",
-        NodeOp::ReturnDisk(_) => "sim.op.return_disk",
-        NodeOp::BulkCreate(_) => "sim.op.bulk_create",
-        NodeOp::BulkRemove(_) => "sim.op.bulk_remove",
-        NodeOp::Migrate(..) => "sim.op.migrate",
-    }
-}
-
-/// Arms a schedule fault point on a store's disk. The raw extent wraps
-/// into the live data extents (skipping the superblock extent 0, whose
-/// loss is unrecoverable by design and would drown every run in
-/// uncertifiable recoveries).
-pub(crate) fn arm_store_fault(store: &Store, f: &shardstore_sim::FaultPoint, extent_count: u32) {
-    let live = extent_count.saturating_sub(1).max(1);
-    let target = ExtentId(1 + f.extent % live);
-    let disk = store.scheduler().disk().clone();
-    match f.kind {
-        shardstore_sim::SimFaultKind::Transient(n) => disk.inject_fail_times(target, n),
-        shardstore_sim::SimFaultKind::Permanent => disk.inject_fail_always(target),
-    }
-}
-
 fn fnv(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in bytes {
@@ -181,50 +131,61 @@ fn store_fingerprint(store: &Store) -> String {
     out
 }
 
-/// Merges every in-service disk's metrics snapshot into one node-wide
-/// view (same-bounds histograms add bucket-wise).
-fn node_metrics(node: &Node) -> shardstore_obs::metrics::MetricsSnapshot {
-    let mut out = shardstore_obs::metrics::MetricsSnapshot::default();
-    for d in 0..node.disk_count() {
-        if let Some(obs) = node.disk_obs(d) {
-            out.merge(&obs.snapshot());
-        }
-    }
-    out
-}
-
-/// Per-disk [`store_fingerprint`] over a whole node.
-fn node_fingerprint(node: &Node) -> String {
-    let mut out = String::new();
-    for d in 0..node.disk_count() {
-        match node.store(d) {
-            Some(store) => {
-                out.push_str(&format!("=== disk {d} ===\n"));
-                out.push_str(&store_fingerprint(&store));
-            }
-            None => out.push_str(&format!("=== disk {d}: out of service ===\n")),
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
-// Store worlds (KV alphabet)
+// Store world (KV alphabet)
 // ---------------------------------------------------------------------------
 
-/// The crash-free conformance world: [`apply_op`] + [`check_invariants`]
-/// per delivery. Crash-restart points are ignored ([`KvModel`] is not
-/// crash-aware); disk-fault points engage the §4.4 relaxation exactly
-/// like an in-alphabet `FailDiskOnce`.
-struct ConformanceWorld<'a> {
+/// A [`shardstore_core::Store`] under one oracle. Operations double as
+/// messages (see the module docs); timer ticks pump background IO like
+/// an in-alphabet `Pump` at a synthetic index past the sequence;
+/// disk-fault points engage the §4.4 relaxation exactly like an
+/// in-alphabet `FailDiskOnce`; crash-restart points become dirty reboots
+/// with the point's block-survival mask, for the oracle whose alphabet
+/// has them.
+pub(crate) struct StoreWorld<'a, O> {
     ops: &'a [KvOp],
-    cfg: &'a ConformanceConfig,
-    ctx: RunCtx,
-    model: KvModel,
+    pub run: Run,
+    pub oracle: O,
     net: NetPlan,
 }
 
-impl World for ConformanceWorld<'_> {
+impl<'a, O: Oracle> StoreWorld<'a, O> {
+    pub fn new(
+        ops: &'a [KvOp],
+        cfg: &ConformanceConfig,
+        oracle: O,
+        schedule: &SimSchedule,
+    ) -> Self {
+        let run = Run::new(cfg.fresh_store(), cfg.geometry);
+        Self { ops, run, oracle, net: NetPlan::new(schedule) }
+    }
+
+    /// Interprets `op`, judging every observation; operations outside
+    /// the oracle's alphabet are skipped without touching the store.
+    fn drive(&mut self, i: usize, op: &KvOp) -> Result<(), Divergence> {
+        let Self { run, oracle, .. } = self;
+        if !oracle.accepts(op) {
+            return Ok(());
+        }
+        interp::apply(run, op, &mut |run, obs| oracle.observe(run, obs))
+            .map_err(|detail| Divergence::at(i, op, detail))
+    }
+
+    fn outcome(&self, sim: SimReport, opts: &SimOptions) -> SimOutcome {
+        SimOutcome {
+            report: RunReport {
+                ops: self.ops.len(),
+                skipped_no_space: self.run.skipped_no_space,
+                has_failed: self.run.fault_active,
+            },
+            sim,
+            fingerprint: opts.fingerprint.then(|| store_fingerprint(&self.run.store)),
+            metrics: self.run.store.obs().snapshot(),
+        }
+    }
+}
+
+impl<O: Oracle> World for StoreWorld<'_, O> {
     type Error = Divergence;
 
     fn apply(&mut self, ctx: &mut SimCtx<'_>, i: usize) -> Result<(), Divergence> {
@@ -234,141 +195,74 @@ impl World for ConformanceWorld<'_> {
 
     fn deliver(&mut self, _ctx: &mut SimCtx<'_>, m: usize) -> Result<(), Divergence> {
         let op = &self.ops[m];
-        coverage::hit(kv_probe(op));
-        let page_size = self.cfg.geometry.page_size;
-        apply_op(&mut self.ctx, &mut self.model, m, op, page_size, self.cfg)
-            .and_then(|()| check_invariants(&self.ctx, &self.model, m, op))
-            .map_err(|d| d.with_timeline(&self.ctx.store))
+        coverage::hit(op.probe());
+        self.drive(m, op)?;
+        self.oracle.after_op(&mut self.run, m).map_err(|detail| Divergence::at(m, op, detail))
     }
 
     fn tick(&mut self, _ctx: &mut SimCtx<'_>) -> Result<(), Divergence> {
-        // A timer tick pumps background IO, exactly like an in-alphabet
-        // pump at a synthetic index past the sequence.
-        let page_size = self.cfg.geometry.page_size;
-        apply_op(&mut self.ctx, &mut self.model, self.ops.len(), &KvOp::Pump(4), page_size, self.cfg)
-            .map_err(|d| d.with_timeline(&self.ctx.store))
+        self.drive(self.ops.len(), &KvOp::Pump(4))
     }
 
-    fn arm_fault(&mut self, f: &shardstore_sim::FaultPoint) -> Result<(), Divergence> {
-        arm_store_fault(&self.ctx.store, f, self.cfg.geometry.extent_count);
-        self.ctx.has_failed = true;
+    fn arm_fault(&mut self, f: &FaultPoint) -> Result<(), Divergence> {
+        interp::arm_fault(&mut self.run, f);
         Ok(())
+    }
+
+    fn crash_restart(&mut self, c: &CrashPoint) -> Result<(), Divergence> {
+        let rt = RebootType { flush_index: false, issue_ios: 0, keep_mask: c.keep_mask };
+        self.drive(c.at_op, &KvOp::DirtyReboot(rt))
+    }
+
+    fn settle(&mut self) -> Result<(), Divergence> {
+        let n = self.ops.len();
+        self.oracle
+            .settle(&mut self.run, n)
+            .map_err(|detail| Divergence::at(n, &format_args!("settle"), detail))
     }
 }
 
-/// Runs the crash-free conformance checker under the simulator.
+/// Runs the crash-free conformance checker under the simulator. Crash-
+/// restart points are ignored (`Strict`'s model is not crash-aware).
 pub fn run_conformance_sim(
     ops: &[KvOp],
     cfg: &ConformanceConfig,
     schedule: &SimSchedule,
     opts: &SimOptions,
 ) -> Result<SimOutcome, Divergence> {
-    let mut world = ConformanceWorld {
-        ops,
-        cfg,
-        ctx: RunCtx::new(cfg),
-        model: KvModel::new(),
-        net: NetPlan::new(schedule),
-    };
-    let sim = Simulator::run(&mut world, ops.len(), schedule)?;
-    let fingerprint = opts.fingerprint.then(|| store_fingerprint(&world.ctx.store));
-    Ok(SimOutcome {
-        report: RunReport {
-            ops: ops.len(),
-            skipped_no_space: world.ctx.skipped_no_space,
-            has_failed: world.ctx.has_failed,
-        },
-        sim,
-        fingerprint,
-        metrics: world.ctx.store.obs().snapshot(),
-    })
+    let mut world = StoreWorld::new(ops, cfg, Strict::default(), schedule);
+    let sim = Simulator::run(&mut world, ops.len(), schedule)
+        .map_err(|d| d.with_timeline(&world.run.store))?;
+    Ok(world.outcome(sim, opts))
 }
 
-/// The crash-consistency world: [`crash_step`] per delivery, plus real
-/// whole-node crash-restarts at the schedule's crash points (a dirty
-/// reboot with the point's block-survival mask, checked by the §5
-/// persistence property).
-struct CrashWorld<'a> {
-    ops: &'a [KvOp],
-    cfg: &'a ConformanceConfig,
-    ctx: RunCtx,
-    model: CrashAwareKvModel,
-    net: NetPlan,
-}
-
-impl World for CrashWorld<'_> {
-    type Error = Divergence;
-
-    fn apply(&mut self, ctx: &mut SimCtx<'_>, i: usize) -> Result<(), Divergence> {
-        self.net.send(ctx, i);
-        Ok(())
-    }
-
-    fn deliver(&mut self, _ctx: &mut SimCtx<'_>, m: usize) -> Result<(), Divergence> {
-        let op = &self.ops[m];
-        coverage::hit(kv_probe(op));
-        crash_step(&mut self.ctx, &mut self.model, m, op, self.cfg)
-    }
-
-    fn tick(&mut self, _ctx: &mut SimCtx<'_>) -> Result<(), Divergence> {
-        crash_step(&mut self.ctx, &mut self.model, self.ops.len(), &KvOp::Pump(4), self.cfg)
-    }
-
-    fn arm_fault(&mut self, f: &shardstore_sim::FaultPoint) -> Result<(), Divergence> {
-        arm_store_fault(&self.ctx.store, f, self.cfg.geometry.extent_count);
-        self.ctx.has_failed = true;
-        Ok(())
-    }
-
-    fn crash_restart(&mut self, c: &CrashPoint) -> Result<(), Divergence> {
-        let rt =
-            RebootType { flush_index: false, issue_ios: 0, keep_mask: c.keep_mask };
-        let op = KvOp::DirtyReboot(rt);
-        dirty_reboot(&mut self.ctx, &mut self.model, c.at_op, &op, &rt)
-    }
-}
-
-/// Runs the crash-consistency checker under the simulator.
+/// Runs the crash-consistency checker under the simulator: the only
+/// store world that honors crash-restart schedule points (checked by
+/// the §5 persistence property).
 pub fn run_crash_sim(
     ops: &[KvOp],
     cfg: &ConformanceConfig,
     schedule: &SimSchedule,
     opts: &SimOptions,
 ) -> Result<SimOutcome, Divergence> {
-    let mut world = CrashWorld {
-        ops,
-        cfg,
-        ctx: RunCtx::new(cfg),
-        model: CrashAwareKvModel::new(cfg.faults.clone()),
-        net: NetPlan::new(schedule),
-    };
+    let mut world = StoreWorld::new(ops, cfg, CrashAware::new(cfg.faults.clone()), schedule);
     let sim = Simulator::run(&mut world, ops.len(), schedule)?;
-    let fingerprint = opts.fingerprint.then(|| store_fingerprint(&world.ctx.store));
-    Ok(SimOutcome {
-        report: RunReport {
-            ops: ops.len(),
-            skipped_no_space: world.ctx.skipped_no_space,
-            has_failed: world.ctx.has_failed,
-        },
-        sim,
-        fingerprint,
-        metrics: world.ctx.store.obs().snapshot(),
-    })
+    Ok(world.outcome(sim, opts))
 }
 
 // ---------------------------------------------------------------------------
-// Node worlds (control-plane alphabet)
+// Node world (control-plane alphabet)
 // ---------------------------------------------------------------------------
 
-/// The control-plane conformance world: [`node_step`] per delivery.
-/// Fault and crash points are ignored — the node checker's oracles are
-/// not failure-relaxed, so arming faults would flag honest unavailability
-/// as divergence. Network perturbations (drop/delay/reorder) apply.
+/// A multi-disk [`Node`] under the [`DiskRemoval`] oracle, reached
+/// either directly or through the request plane (see [`NodePort`]).
+/// Fault and crash points are ignored — the oracle is not
+/// failure-relaxed, so arming faults would flag honest unavailability as
+/// divergence. Network perturbations (drop/delay/reorder) apply.
 struct NodeWorld<'a> {
     ops: &'a [NodeOp],
-    cfg: &'a ConformanceConfig,
-    node: &'a Node,
-    st: NodeRunState,
+    run: NodeRun,
+    oracle: DiskRemoval,
     net: NetPlan,
 }
 
@@ -382,25 +276,78 @@ impl World for NodeWorld<'_> {
 
     fn deliver(&mut self, _ctx: &mut SimCtx<'_>, m: usize) -> Result<(), Divergence> {
         let op = &self.ops[m];
-        coverage::hit(node_probe(op));
-        node_step(&mut self.st, self.node, self.cfg, m, op)
+        coverage::hit(op.probe());
+        let Self { run, oracle, .. } = self;
+        interp::apply_node(run, op, &mut |run, obs| oracle.observe(run, obs))
+            .and_then(|()| oracle.after_op(run, m))
+            .map_err(|detail| Divergence::at(m, op, detail))
     }
 
+    /// Drains the engine, then tolerantly pumps every in-service disk's
+    /// IO scheduler (errors surface through the per-op oracle, not
+    /// here).
     fn tick(&mut self, _ctx: &mut SimCtx<'_>) -> Result<(), Divergence> {
-        pump_node(self.node);
+        if let NodePort::Wire { engine, .. } = &self.run.port {
+            engine.drain();
+        }
+        let node = self.run.port.node();
+        for d in 0..node.disk_count() {
+            if let Some(store) = node.store(d) {
+                let sched = store.scheduler();
+                let _ = sched.issue_ready(4).and_then(|_| sched.flush_issued());
+            }
+        }
         Ok(())
+    }
+
+    fn settle(&mut self) -> Result<(), Divergence> {
+        if let NodePort::Wire { engine, .. } = &self.run.port {
+            engine.drain();
+            engine.shutdown();
+        }
+        let n = self.ops.len();
+        self.oracle
+            .after_op(&mut self.run, n)
+            .map_err(|detail| Divergence::at(n, &format_args!("settle"), detail))
     }
 }
 
-/// Tolerantly pumps every in-service disk's IO scheduler (a node-world
-/// timer tick; errors surface through the per-op oracles, not here).
-fn pump_node(node: &Node) {
-    for d in 0..node.disk_count() {
-        if let Some(store) = node.store(d) {
-            let sched = store.scheduler();
-            let _ = sched.issue_ready(4).and_then(|_| sched.flush_issued());
-        }
+fn run_node_world(
+    ops: &[NodeOp],
+    cfg: &ConformanceConfig,
+    port: NodePort,
+    schedule: &SimSchedule,
+    opts: &SimOptions,
+) -> Result<SimOutcome, Divergence> {
+    let run = NodeRun::new(port, cfg.geometry.page_size);
+    let mut world =
+        NodeWorld { ops, run, oracle: DiskRemoval::default(), net: NetPlan::new(schedule) };
+    let sim = Simulator::run(&mut world, ops.len(), schedule)?;
+    let node = world.run.port.node();
+    // Per-disk fingerprints, and every in-service disk's metrics merged
+    // into one node-wide view (same-bounds histograms add bucket-wise).
+    let fingerprint = opts.fingerprint.then(|| {
+        (0..node.disk_count())
+            .map(|d| match node.store(d) {
+                Some(store) => format!("=== disk {d} ===\n{}", store_fingerprint(&store)),
+                None => format!("=== disk {d}: out of service ===\n"),
+            })
+            .collect()
+    });
+    let mut metrics = shardstore_obs::metrics::MetricsSnapshot::default();
+    for obs in (0..node.disk_count()).filter_map(|d| node.disk_obs(d)) {
+        metrics.merge(&obs.snapshot());
     }
+    Ok(SimOutcome {
+        report: RunReport {
+            ops: ops.len(),
+            skipped_no_space: world.run.skipped_no_space,
+            has_failed: false,
+        },
+        sim,
+        fingerprint,
+        metrics,
+    })
 }
 
 /// Runs the control-plane conformance checker under the simulator
@@ -412,19 +359,7 @@ pub fn run_node_sim(
     schedule: &SimSchedule,
     opts: &SimOptions,
 ) -> Result<SimOutcome, Divergence> {
-    let node = Node::new(num_disks, cfg.geometry, cfg.store.clone(), cfg.faults.clone());
-    if cfg.background_writeback {
-        for disk in 0..num_disks {
-            if let Some(store) = node.store(disk) {
-                store.scheduler().set_writeback_mode(
-                    shardstore_dependency::WritebackMode::Background(
-                        shardstore_dependency::WritebackConfig::default(),
-                    ),
-                );
-            }
-        }
-    }
-    run_node_sim_on(ops, cfg, &node, schedule, opts)
+    run_node_sim_on(ops, cfg, &cfg.fresh_node(num_disks), schedule, opts)
 }
 
 /// Runs the control-plane conformance checker under the simulator
@@ -436,394 +371,32 @@ pub fn run_node_sim_on(
     schedule: &SimSchedule,
     opts: &SimOptions,
 ) -> Result<SimOutcome, Divergence> {
-    let mut world = NodeWorld {
-        ops,
-        cfg,
-        node,
-        st: NodeRunState::new(node),
-        net: NetPlan::new(schedule),
-    };
-    let sim = Simulator::run(&mut world, ops.len(), schedule)?;
-    let fingerprint = opts.fingerprint.then(|| node_fingerprint(node));
-    Ok(SimOutcome {
-        report: RunReport {
-            ops: ops.len(),
-            skipped_no_space: world.st.skipped,
-            has_failed: false,
-        },
-        sim,
-        fingerprint,
-        metrics: node_metrics(node),
-    })
+    run_node_world(ops, cfg, NodePort::Direct(node.clone()), schedule, opts)
 }
 
-// ---------------------------------------------------------------------------
-// RPC world (request plane under simulated time)
-// ---------------------------------------------------------------------------
-
-/// The request-plane world: the node-alphabet drives a manual-mode
-/// [`Engine`] whose per-disk executors only make progress when the event
-/// loop says so. Every request round-trips through the wire codec, and
-/// responses are checked against [`KvModel`] with the same disk-removal
-/// relaxations as [`node_step`]. Fault and crash points are ignored for
-/// the same reason as [`NodeWorld`].
-struct RpcWorld<'a> {
-    ops: &'a [NodeOp],
-    cfg: &'a ConformanceConfig,
-    engine: Engine,
-    client: RpcClient,
-    st: NodeRunState,
-    net: NetPlan,
-}
-
-fn rpc_diverge(op_index: usize, op: &NodeOp, detail: impl Into<String>) -> Divergence {
-    Divergence {
-        op_index,
-        op: format!("{op:?}"),
-        detail: detail.into(),
-        timeline: String::new(),
-        dropped_events: 0,
-    }
-}
-
-impl RpcWorld<'_> {
-    fn node(&self) -> &Node {
-        self.engine.node()
-    }
-
-    /// Issues one request through the wire codec and the manual engine:
-    /// encode, decode (the codec must be canonical), submit, drain the
-    /// executors, and collect the reply.
-    fn rpc(&self, request: Request) -> Result<Response, String> {
-        let frame = request.encode();
-        let decoded =
-            Request::decode(&frame).map_err(|e| format!("wire roundtrip failed: {e}"))?;
-        if decoded.encode() != frame {
-            return Err("wire re-encode is not canonical".to_string());
-        }
-        let reply = self.client.call_nowait(decoded);
-        self.engine.drain();
-        reply.poll().ok_or_else(|| "no response after engine drain".to_string())
-    }
-
-    fn rpc_at(&self, i: usize, op: &NodeOp, request: Request) -> Result<Response, Divergence> {
-        self.rpc(request).map_err(|detail| rpc_diverge(i, op, detail))
-    }
-
-    /// Attaches the per-disk causal timelines of the most recent request
-    /// on each disk, so a minimized request-plane repro shows the failing
-    /// request's admission→IO→ack (or failure) path.
-    fn with_node_timeline(&self, mut d: Divergence) -> Divergence {
-        let mut out = String::new();
-        for disk in 0..self.node().disk_count() {
-            if let Some(obs) = self.node().disk_obs(disk) {
-                let trace = obs.trace();
-                let records = trace.snapshot();
-                let dropped = trace.dropped();
-                d.dropped_events = d.dropped_events.max(dropped);
-                let causal =
-                    shardstore_obs::oracle::render_last_req_timeline(&records, dropped);
-                if !causal.is_empty() {
-                    out.push_str(&format!(
-                        "=== disk {disk}: causal timeline (last request) ===\n{causal}"
-                    ));
-                }
+/// Attaches the per-disk causal timelines of the most recent request on
+/// each disk, so a minimized request-plane repro shows the failing
+/// request's admission→IO→ack (or failure) path.
+fn with_node_timeline(node: &Node, mut d: Divergence) -> Divergence {
+    let mut out = String::new();
+    for disk in 0..node.disk_count() {
+        if let Some(obs) = node.disk_obs(disk) {
+            let trace = obs.trace();
+            let dropped = trace.dropped();
+            d.dropped_events = d.dropped_events.max(dropped);
+            let causal =
+                shardstore_obs::oracle::render_last_req_timeline(&trace.snapshot(), dropped);
+            if !causal.is_empty() {
+                out.push_str(&format!(
+                    "=== disk {disk}: causal timeline (last request) ===\n{causal}"
+                ));
             }
         }
-        if !out.is_empty() {
-            d.timeline = out;
-        }
-        d
     }
-}
-
-impl World for RpcWorld<'_> {
-    type Error = Divergence;
-
-    fn apply(&mut self, ctx: &mut SimCtx<'_>, i: usize) -> Result<(), Divergence> {
-        self.net.send(ctx, i);
-        Ok(())
+    if !out.is_empty() {
+        d.timeline = out;
     }
-
-    fn deliver(&mut self, _ctx: &mut SimCtx<'_>, m: usize) -> Result<(), Divergence> {
-        let op = &self.ops[m];
-        coverage::hit(node_probe(op));
-        self.deliver_op(m, op).map_err(|d| self.with_node_timeline(d))?;
-        // Catalog/index consistency is an always-on invariant, exactly as
-        // in the direct control-plane world.
-        if let Err(detail) = self.node().check_catalog_consistent() {
-            return Err(self.with_node_timeline(rpc_diverge(m, op, detail)));
-        }
-        Ok(())
-    }
-
-    fn tick(&mut self, _ctx: &mut SimCtx<'_>) -> Result<(), Divergence> {
-        self.engine.drain();
-        pump_node(self.node());
-        Ok(())
-    }
-
-    fn settle(&mut self) -> Result<(), Divergence> {
-        self.engine.drain();
-        self.engine.shutdown();
-        self.node()
-            .check_catalog_consistent()
-            .map_err(|detail| {
-                self.with_node_timeline(Divergence {
-                    op_index: self.ops.len(),
-                    op: "settle".to_string(),
-                    detail,
-                    timeline: String::new(),
-                    dropped_events: 0,
-                })
-            })
-    }
-}
-
-impl RpcWorld<'_> {
-    #[allow(clippy::too_many_lines)]
-    fn deliver_op(&mut self, i: usize, op: &NodeOp) -> Result<(), Divergence> {
-        let page_size = self.cfg.geometry.page_size;
-        match op {
-            NodeOp::Get(kr) => {
-                let key = kr.resolve(&self.st.puts_so_far);
-                let disk = self.node().route(key);
-                match self.rpc_at(i, op, Request::Get { shard: key })? {
-                    Response::Error(e)
-                        if e.code == ErrorCode::OutOfService && self.st.removed[disk] => {}
-                    Response::Error(e) if e.code == ErrorCode::NoSpace => {}
-                    Response::Error(e) => {
-                        return Err(rpc_diverge(i, op, format!("get failed: {e}")));
-                    }
-                    resp @ (Response::Data(_) | Response::NotFound) => {
-                        if self.st.removed[disk] {
-                            return Err(rpc_diverge(i, op, "get served from a removed disk"));
-                        }
-                        let got = match resp {
-                            Response::Data(v) => Some(v.to_vec()),
-                            _ => None,
-                        };
-                        let expected = self.st.model.get(key);
-                        let ok = match (&got, &expected) {
-                            (None, None) => true,
-                            (Some(g), Some(e)) => *g == ***e,
-                            _ => false,
-                        };
-                        if !ok {
-                            return Err(rpc_diverge(
-                                i,
-                                op,
-                                format!(
-                                    "get({key}) mismatch: impl {:?} vs model {:?} bytes",
-                                    got.map(|v| v.len()),
-                                    expected.map(|v| v.len())
-                                ),
-                            ));
-                        }
-                    }
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("unexpected response {other:?}")));
-                    }
-                }
-            }
-            NodeOp::Put(kr, spec) => {
-                let key = kr.resolve(&self.st.puts_so_far);
-                let disk = self.node().route(key);
-                let value = Arc::new(spec.materialize(key, page_size));
-                match self.rpc_at(i, op, Request::Put { shard: key, data: value.to_vec() })? {
-                    Response::Ok => {
-                        if self.st.removed[disk] {
-                            return Err(rpc_diverge(i, op, "put accepted by a removed disk"));
-                        }
-                        self.st.model.put(key, &value);
-                        self.st.puts_so_far.push(key);
-                    }
-                    Response::Error(e)
-                        if e.code == ErrorCode::OutOfService && self.st.removed[disk] => {}
-                    Response::Error(e) if e.code == ErrorCode::NoSpace => self.st.skipped += 1,
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("put failed: {other:?}")));
-                    }
-                }
-            }
-            NodeOp::Delete(kr) => {
-                let key = kr.resolve(&self.st.puts_so_far);
-                let disk = self.node().route(key);
-                match self.rpc_at(i, op, Request::Delete { shard: key })? {
-                    Response::Ok => {
-                        self.st.model.delete(key);
-                    }
-                    Response::Error(e)
-                        if e.code == ErrorCode::OutOfService && self.st.removed[disk] => {}
-                    Response::Error(e) if e.code == ErrorCode::NoSpace => self.st.skipped += 1,
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("delete failed: {other:?}")));
-                    }
-                }
-            }
-            NodeOp::List => {
-                let listed = match self.rpc_at(i, op, Request::List)? {
-                    Response::Shards(shards) => shards,
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("list failed: {other:?}")));
-                    }
-                };
-                for key in &listed {
-                    if self.st.model.get(*key).is_none() {
-                        return Err(rpc_diverge(i, op, format!("listed phantom shard {key}")));
-                    }
-                }
-                for key in self.st.model.list() {
-                    if !self.st.removed[self.node().route(key)] && !listed.contains(&key) {
-                        return Err(rpc_diverge(i, op, format!("listing missed shard {key}")));
-                    }
-                }
-            }
-            NodeOp::RemoveDisk(d) => {
-                let disk = *d as usize % self.node().disk_count();
-                match self.rpc_at(i, op, Request::RemoveDisk { disk: disk as u32 })? {
-                    Response::Ok => self.st.removed[disk] = true,
-                    Response::Error(e)
-                        if e.code == ErrorCode::OutOfService && self.st.removed[disk] => {}
-                    Response::Error(e) if e.code == ErrorCode::NoSpace => self.st.skipped += 1,
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("remove_disk failed: {other:?}")));
-                    }
-                }
-            }
-            NodeOp::ReturnDisk(d) => {
-                let disk = *d as usize % self.node().disk_count();
-                match self.rpc_at(i, op, Request::ReturnDisk { disk: disk as u32 })? {
-                    Response::Ok => {
-                        self.st.removed[disk] = false;
-                        // Disk-return durability, checked through the
-                        // request plane: every model shard on this disk is
-                        // served again with its data intact.
-                        for key in self.st.model.list() {
-                            if self.node().route(key) != disk {
-                                continue;
-                            }
-                            let expected =
-                                self.st.model.get(key).expect("listed key").clone();
-                            match self.rpc_at(i, op, Request::Get { shard: key })? {
-                                Response::Data(got) if got.to_vec() == **expected => {}
-                                other => {
-                                    return Err(rpc_diverge(
-                                        i,
-                                        op,
-                                        format!(
-                                            "shard {key} lost across disk removal/return: {other:?}"
-                                        ),
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    Response::Error(e) if e.code == ErrorCode::NoSpace => self.st.skipped += 1,
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("return_disk failed: {other:?}")));
-                    }
-                }
-            }
-            NodeOp::BulkCreate(batch) => {
-                let resolved: Vec<(u128, Vec<u8>)> = batch
-                    .iter()
-                    .map(|(kr, spec)| {
-                        let key = kr.resolve(&self.st.puts_so_far);
-                        (key, spec.materialize(key, page_size))
-                    })
-                    .collect();
-                if resolved.iter().any(|(k, _)| self.st.removed[self.node().route(*k)]) {
-                    return Ok(());
-                }
-                match self.rpc_at(i, op, Request::BulkCreate { shards: resolved.clone() })? {
-                    Response::Ok => {
-                        for (key, value) in resolved {
-                            self.st.model.put(key, &value);
-                            self.st.puts_so_far.push(key);
-                        }
-                    }
-                    Response::Error(e) if e.code == ErrorCode::NoSpace => self.st.skipped += 1,
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("bulk create failed: {other:?}")));
-                    }
-                }
-            }
-            NodeOp::BulkRemove(batch) => {
-                let resolved: Vec<u128> =
-                    batch.iter().map(|kr| kr.resolve(&self.st.puts_so_far)).collect();
-                if resolved.iter().any(|k| self.st.removed[self.node().route(*k)]) {
-                    return Ok(());
-                }
-                match self.rpc_at(i, op, Request::BulkRemove { shards: resolved.clone() })? {
-                    Response::Ok => {
-                        for key in resolved {
-                            self.st.model.delete(key);
-                        }
-                    }
-                    Response::Error(e) if e.code == ErrorCode::NoSpace => self.st.skipped += 1,
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("bulk remove failed: {other:?}")));
-                    }
-                }
-            }
-            NodeOp::Migrate(kr, d) => {
-                let key = kr.resolve(&self.st.puts_so_far);
-                let to_disk = *d as usize % self.node().disk_count();
-                let from_disk = self.node().route(key);
-                let request = Request::Migrate { shard: key, to_disk: to_disk as u32 };
-                if self.st.removed[from_disk] || self.st.removed[to_disk] {
-                    match self.rpc_at(i, op, request)? {
-                        Response::Error(e) if e.code == ErrorCode::OutOfService => {}
-                        Response::Error(e) if e.code == ErrorCode::NoSpace => {
-                            self.st.skipped += 1;
-                        }
-                        Response::Error(e) => {
-                            return Err(rpc_diverge(i, op, format!("migrate failed: {e}")));
-                        }
-                        _ => {}
-                    }
-                    return Ok(());
-                }
-                match self.rpc_at(i, op, request)? {
-                    Response::Ok => {
-                        let expected = self.st.model.get(key);
-                        let got = match self.rpc_at(i, op, Request::Get { shard: key })? {
-                            Response::Data(v) => Some(v.to_vec()),
-                            Response::NotFound => None,
-                            other => {
-                                return Err(rpc_diverge(
-                                    i,
-                                    op,
-                                    format!("post-migrate get failed: {other:?}"),
-                                ));
-                            }
-                        };
-                        let ok = match (&expected, &got) {
-                            (None, None) => true,
-                            (Some(e), Some(g)) => ***e == **g,
-                            _ => false,
-                        };
-                        if !ok {
-                            return Err(rpc_diverge(
-                                i,
-                                op,
-                                format!("shard {key} changed across migration"),
-                            ));
-                        }
-                        if expected.is_some() && self.node().route(key) != to_disk {
-                            return Err(rpc_diverge(i, op, "placement not updated"));
-                        }
-                    }
-                    Response::Error(e) if e.code == ErrorCode::NoSpace => self.st.skipped += 1,
-                    other => {
-                        return Err(rpc_diverge(i, op, format!("migrate failed: {other:?}")));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
+    d
 }
 
 /// Runs the node alphabet through the request plane under the simulator:
@@ -837,21 +410,11 @@ pub fn run_rpc_sim(
     schedule: &SimSchedule,
     opts: &SimOptions,
 ) -> Result<SimOutcome, Divergence> {
+    // Always deterministic writeback: a pump thread would be a second
+    // source of progress.
     let node = Node::new(num_disks, cfg.geometry, cfg.store.clone(), cfg.faults.clone());
     let engine = Engine::start_manual(node.clone(), EngineConfig::default());
     let client = engine.client();
-    let st = NodeRunState::new(&node);
-    let mut world = RpcWorld { ops, cfg, engine, client, st, net: NetPlan::new(schedule) };
-    let sim = Simulator::run(&mut world, ops.len(), schedule)?;
-    let fingerprint = opts.fingerprint.then(|| node_fingerprint(&node));
-    Ok(SimOutcome {
-        report: RunReport {
-            ops: ops.len(),
-            skipped_no_space: world.st.skipped,
-            has_failed: false,
-        },
-        sim,
-        fingerprint,
-        metrics: node_metrics(&node),
-    })
+    run_node_world(ops, cfg, NodePort::Wire { engine, client }, schedule, opts)
+        .map_err(|d| with_node_timeline(&node, d))
 }

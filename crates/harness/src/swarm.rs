@@ -116,31 +116,6 @@ impl SwarmOutcome {
     }
 }
 
-/// Runs one crash-world seed; returns the divergence if it fails.
-fn run_crash_seed(
-    ops: &[KvOp],
-    schedule: &SimSchedule,
-    stats: &mut SwarmStats,
-) -> Result<SimOutcome, Divergence> {
-    let cfg = ConformanceConfig::default();
-    let outcome = run_crash_sim(ops, &cfg, schedule, &SimOptions::default())?;
-    stats.absorb(&outcome.sim);
-    Ok(outcome)
-}
-
-/// Runs one request-plane seed; returns the divergence if it fails.
-fn run_rpc_seed(
-    ops: &[NodeOp],
-    schedule: &SimSchedule,
-    num_disks: usize,
-    stats: &mut SwarmStats,
-) -> Result<SimOutcome, Divergence> {
-    let cfg = ConformanceConfig::default();
-    let outcome = run_rpc_sim(ops, &cfg, num_disks, schedule, &SimOptions::default())?;
-    stats.absorb(&outcome.sim);
-    Ok(outcome)
-}
-
 /// Coverage probes hit since `before`, with per-seed hit counts (empty
 /// when the global coverage registry is disabled).
 fn coverage_delta(before: &BTreeMap<&'static str, u64>) -> Vec<(String, u64)> {
@@ -153,6 +128,48 @@ fn coverage_delta(before: &BTreeMap<&'static str, u64>) -> Vec<(String, u64)> {
         .collect()
 }
 
+/// Runs one seed's `ops` under its derived schedule; a failure comes
+/// back with its (optionally minimized) repro rendered.
+fn run_seed<Op: Clone + std::fmt::Debug>(
+    config: &SwarmConfig,
+    stats: &mut SwarmStats,
+    (seed, world): (u64, &'static str),
+    ops: Vec<Op>,
+    run: impl Fn(&[Op], &SimSchedule) -> Result<SimOutcome, Divergence>,
+) -> Result<SeedReport, SwarmFailure> {
+    let cov_before: BTreeMap<&'static str, u64> = coverage::snapshot().into_iter().collect();
+    let schedule = SimSchedule::perturbed(seed, ops.len(), &config.profile);
+    match run(&ops, &schedule) {
+        Ok(outcome) => {
+            stats.absorb(&outcome.sim);
+            Ok(SeedReport {
+                seed,
+                world,
+                events: outcome.sim.events,
+                ops: ops.len() as u64,
+                metrics: outcome.metrics,
+                coverage: coverage_delta(&cov_before),
+            })
+        }
+        Err(d) => {
+            let mut repro = SimRepro { ops, schedule };
+            if config.minimize_failures {
+                repro = minimize_repro(&repro, |cand| {
+                    run(&cand.ops, &cand.schedule).err().map(|d| d.to_string())
+                });
+            }
+            Err(SwarmFailure {
+                seed,
+                world,
+                message: d.to_string(),
+                repro: format!("ops: {:#?}\nschedule: {:#?}", repro.ops, repro.schedule),
+                minimized_ops: repro.ops.len(),
+                dropped_events: d.dropped_events,
+            })
+        }
+    }
+}
+
 /// Runs a swarm batch: `runs` seeds, alternating worlds, perturbed
 /// schedules, auto-minimization on failure.
 pub fn run_swarm(config: &SwarmConfig) -> SwarmOutcome {
@@ -160,92 +177,26 @@ pub fn run_swarm(config: &SwarmConfig) -> SwarmOutcome {
     let mut stats = SwarmStats::default();
     let mut failures = Vec::new();
     let mut seed_reports = Vec::new();
+    let cfg = ConformanceConfig::default();
+    let opts = SimOptions::default();
     for k in 0..config.runs {
         let seed = config.base_seed.wrapping_add(k as u64);
-        let cov_before: BTreeMap<&'static str, u64> = coverage::snapshot().into_iter().collect();
-        if k % 2 == 0 {
-            let ops: Vec<KvOp> = sample_sequences(kv_ops(GenConfig::crash()), seed, 1)
-                .next()
-                .expect("one sequence");
-            let schedule = SimSchedule::perturbed(seed, ops.len(), &config.profile);
-            match run_crash_seed(&ops, &schedule, &mut stats) {
-                Ok(outcome) => seed_reports.push(SeedReport {
-                    seed,
-                    world: "crash",
-                    events: outcome.sim.events,
-                    ops: ops.len() as u64,
-                    metrics: outcome.metrics,
-                    coverage: coverage_delta(&cov_before),
-                }),
-                Err(d) => {
-                    let dropped_events = d.dropped_events;
-                    let message = d.to_string();
-                    let repro = SimRepro { ops, schedule };
-                    let minimized = if config.minimize_failures {
-                        minimize_repro(&repro, |cand| {
-                            let mut scratch = SwarmStats::default();
-                            run_crash_seed(&cand.ops, &cand.schedule, &mut scratch)
-                                .err()
-                                .map(|d| d.to_string())
-                        })
-                    } else {
-                        repro
-                    };
-                    failures.push(SwarmFailure {
-                        seed,
-                        world: "crash",
-                        message,
-                        repro: format!(
-                            "ops: {:#?}\nschedule: {:#?}",
-                            minimized.ops, minimized.schedule
-                        ),
-                        minimized_ops: minimized.ops.len(),
-                        dropped_events,
-                    });
-                }
-            }
+        let result = if k % 2 == 0 {
+            let ops: Vec<KvOp> =
+                sample_sequences(kv_ops(GenConfig::crash()), seed, 1).next().expect("one sequence");
+            let run = |ops: &[KvOp], s: &SimSchedule| run_crash_sim(ops, &cfg, s, &opts);
+            run_seed(config, &mut stats, (seed, "crash"), ops, run)
         } else {
             let ops: Vec<NodeOp> = sample_sequences(node_ops(GenConfig::conformance()), seed, 1)
                 .next()
                 .expect("one sequence");
-            let schedule = SimSchedule::perturbed(seed, ops.len(), &config.profile);
             let disks = config.num_disks;
-            match run_rpc_seed(&ops, &schedule, disks, &mut stats) {
-                Ok(outcome) => seed_reports.push(SeedReport {
-                    seed,
-                    world: "rpc",
-                    events: outcome.sim.events,
-                    ops: ops.len() as u64,
-                    metrics: outcome.metrics,
-                    coverage: coverage_delta(&cov_before),
-                }),
-                Err(d) => {
-                    let dropped_events = d.dropped_events;
-                    let message = d.to_string();
-                    let repro = SimRepro { ops, schedule };
-                    let minimized = if config.minimize_failures {
-                        minimize_repro(&repro, |cand| {
-                            let mut scratch = SwarmStats::default();
-                            run_rpc_seed(&cand.ops, &cand.schedule, disks, &mut scratch)
-                                .err()
-                                .map(|d| d.to_string())
-                        })
-                    } else {
-                        repro
-                    };
-                    failures.push(SwarmFailure {
-                        seed,
-                        world: "rpc",
-                        message,
-                        repro: format!(
-                            "ops: {:#?}\nschedule: {:#?}",
-                            minimized.ops, minimized.schedule
-                        ),
-                        minimized_ops: minimized.ops.len(),
-                        dropped_events,
-                    });
-                }
-            }
+            let run = |ops: &[NodeOp], s: &SimSchedule| run_rpc_sim(ops, &cfg, disks, s, &opts);
+            run_seed(config, &mut stats, (seed, "rpc"), ops, run)
+        };
+        match result {
+            Ok(report) => seed_reports.push(report),
+            Err(failure) => failures.push(failure),
         }
     }
     SwarmOutcome { stats, elapsed_secs: started.elapsed().as_secs_f64(), failures, seed_reports }

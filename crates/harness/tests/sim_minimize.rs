@@ -49,7 +49,7 @@ fn check_contract<Op: Clone + PartialEq + std::fmt::Debug>(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Synthetic detector: fires iff a `Delete` of a literal key is
     /// present. The minimizer must strip everything else.

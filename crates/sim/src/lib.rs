@@ -26,19 +26,18 @@
 //!   worlds, with `clean()` (frontend-compatible, no perturbation) and
 //!   `perturbed()` (swarm) constructors plus the index-remapping helpers
 //!   the auto-minimizer needs;
-//! - [`sim`] — the event loop itself plus the [`World`] trait;
-//! - [`swarm`] — aggregate statistics for compressed-time seed batches.
+//! - [`sim`] — the event loop itself plus the [`World`] trait, its
+//!   per-run [`SimReport`], and the [`SwarmStats`] accumulator for
+//!   compressed-time seed batches.
 
 pub mod clock;
 pub mod event;
 pub mod rng;
 pub mod schedule;
 pub mod sim;
-pub mod swarm;
 
 pub use clock::LogicalClock;
 pub use event::EventQueue;
 pub use rng::SimRng;
 pub use schedule::{CrashPoint, FaultPoint, PerturbProfile, SimFaultKind, SimSchedule};
-pub use sim::{SimCtx, SimEvent, SimReport, Simulator, World, OP_SPACING};
-pub use swarm::SwarmStats;
+pub use sim::{SimCtx, SimEvent, SimReport, Simulator, SwarmStats, World, OP_SPACING};

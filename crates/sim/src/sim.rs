@@ -118,6 +118,50 @@ pub struct SimReport {
     pub end_time: u64,
 }
 
+/// Accumulated [`SimReport`]s across a swarm batch of compressed-time
+/// executions. The substrate stays wall-clock-free: the harness measures
+/// elapsed real time around its batch and asks
+/// [`SwarmStats::events_per_sec`] for the throughput figure.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SwarmStats {
+    /// Executions completed.
+    pub runs: u64,
+    /// Total events dispatched.
+    pub events: u64,
+    /// Total operations applied.
+    pub ops: u64,
+    /// Total fault points armed.
+    pub faults_armed: u64,
+    /// Total crash-restarts dispatched.
+    pub crashes: u64,
+    /// Total message deliveries dispatched.
+    pub deliveries: u64,
+    /// Total ticks dispatched.
+    pub ticks: u64,
+}
+
+impl SwarmStats {
+    /// Folds one execution's report into the batch totals.
+    pub fn absorb(&mut self, r: &SimReport) {
+        self.runs += 1;
+        self.events += r.events;
+        self.ops += r.ops;
+        self.faults_armed += r.faults_armed;
+        self.crashes += r.crashes;
+        self.deliveries += r.deliveries;
+        self.ticks += r.ticks;
+    }
+
+    /// Simulated events per wall-clock second over `elapsed_secs`.
+    pub fn events_per_sec(&self, elapsed_secs: f64) -> f64 {
+        if elapsed_secs <= 0.0 {
+            0.0
+        } else {
+            self.events as f64 / elapsed_secs
+        }
+    }
+}
+
 /// The deterministic event-loop simulator.
 pub struct Simulator;
 

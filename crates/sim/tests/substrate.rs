@@ -3,8 +3,8 @@
 //! without any storage stack in the loop.
 
 use shardstore_sim::{
-    CrashPoint, FaultPoint, PerturbProfile, SimCtx, SimFaultKind, SimSchedule, Simulator, World,
-    OP_SPACING,
+    CrashPoint, FaultPoint, PerturbProfile, SimCtx, SimFaultKind, SimReport, SimSchedule,
+    Simulator, SwarmStats, World, OP_SPACING,
 };
 
 /// Records every dispatch as a rendered string; `apply` doubles as a
@@ -164,4 +164,23 @@ fn world_errors_abort_the_run() {
     }
     let err = Simulator::run(&mut FailingWorld, 5, &SimSchedule::clean()).unwrap_err();
     assert_eq!(err, "boom");
+}
+
+#[test]
+fn swarm_stats_absorb_accumulates() {
+    let mut s = SwarmStats::default();
+    let r = SimReport { events: 10, ops: 5, ticks: 1, ..Default::default() };
+    s.absorb(&r);
+    s.absorb(&r);
+    assert_eq!(s.runs, 2);
+    assert_eq!(s.events, 20);
+    assert_eq!(s.ops, 10);
+    assert_eq!(s.ticks, 2);
+}
+
+#[test]
+fn swarm_throughput_handles_zero_elapsed() {
+    let s = SwarmStats { events: 1000, ..SwarmStats::default() };
+    assert_eq!(s.events_per_sec(0.0), 0.0);
+    assert!((s.events_per_sec(2.0) - 500.0).abs() < f64::EPSILON);
 }

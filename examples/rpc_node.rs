@@ -7,7 +7,7 @@
 //! cargo run --example rpc_node
 //! ```
 
-use shardstore::core::rpc::{ErrorCode, Request, Response};
+use shardstore::core::rpc::{ErrorCode, Request, Response, INTROSPECT_VERSION};
 use shardstore::core::{Engine, NodeConfig};
 use shardstore::vdisk::Geometry;
 use shardstore::{Node, StoreConfig};
@@ -79,7 +79,7 @@ fn main() {
     // disk 1 shows out of service while it's removed.
     let report = shardstore::obs::json::parse(&client.introspect().unwrap()).unwrap();
     let top = report.as_object().unwrap();
-    assert_eq!(top.get("version").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(top.get("version").and_then(|v| v.as_u64()), Some(INTROSPECT_VERSION));
     let disks = top.get("disks").and_then(|d| d.as_array()).unwrap();
     for entry in disks {
         let disk = entry.as_object().unwrap();
