@@ -1,7 +1,6 @@
 //! Criterion bench: request-plane operations through the full stack
-//! (chunking, LSM, scheduler, superblock, disk), plus the §2.2 ablation —
-//! soft-updates dependency scheduling with write coalescing vs a
-//! write-ahead-log-like global barrier per write.
+//! (chunking, LSM, scheduler, superblock, disk): point ops, table-resident
+//! reads, and the group-commit write path.
 
 use criterion::{criterion_group, BatchSize, Criterion, Throughput};
 use shardstore_core::{Store, StoreConfig};
@@ -80,10 +79,8 @@ fn bench_put_get(c: &mut Criterion) {
     group.finish();
 }
 
-/// The read-path ablation: table-resident gets with the fence/bloom
-/// metadata and the decoded-table cache on (the default) vs off (the
-/// pre-optimization read path, which re-reads and re-decodes every table
-/// newest-first until the key is found).
+/// Table-resident gets: many tables for the fences, blooms and the
+/// decoded-table cache to route a lookup through.
 fn bench_read_path(c: &mut Criterion) {
     const TABLES: u128 = 16;
     const KEYS_PER_TABLE: u128 = 16;
@@ -91,77 +88,57 @@ fn bench_read_path(c: &mut Criterion) {
 
     // All keys table-resident: one flush per batch, no compaction, so the
     // lookup has many tables to consider.
-    let table_resident_store = |config: StoreConfig| {
-        let store = Store::format(Geometry::default(), config, FaultConfig::none());
-        let payload = vec![0x5Au8; 256];
-        for t in 0..TABLES {
-            for i in 0..KEYS_PER_TABLE {
-                store.put(t * KEYS_PER_TABLE + i, &payload).unwrap();
-            }
-            store.flush_index().unwrap();
+    let store = fresh_store();
+    let payload = vec![0x5Au8; 256];
+    for t in 0..TABLES {
+        for i in 0..KEYS_PER_TABLE {
+            store.put(t * KEYS_PER_TABLE + i, &payload).unwrap();
         }
-        store.pump().unwrap();
-        store
-    };
-    let old_config =
-        StoreConfig::builder().lsm_filters(false).decoded_cache_tables(0).build().unwrap();
-
+        store.flush_index().unwrap();
+    }
+    store.pump().unwrap();
     let mut group = c.benchmark_group("kv_read_path");
     group.throughput(Throughput::Elements(1));
 
     // Read-heavy skewed workload: 80% of gets hit the hottest 20% of the
     // key space, the rest are uniform — the common object-storage shape.
-    for (name, config) in
-        [("table_get_skewed_new", StoreConfig::default()), ("table_get_skewed_old", old_config)]
-    {
-        let store = table_resident_store(config);
-        let mut rng: u64 = 0x9E37_79B9;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let r = next();
-                let key = if r % 5 != 0 {
-                    (next() % (KEYS as u64 / 5)) as u128
-                } else {
-                    (next() % KEYS as u64) as u128
-                };
-                std::hint::black_box(store.get(key).unwrap());
-            })
-        });
-    }
+    let mut rng: u64 = 0x9E37_79B9;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    group.bench_function("table_get_skewed_new", |b| {
+        b.iter(|| {
+            let r = next();
+            let key = if r % 5 != 0 {
+                (next() % (KEYS as u64 / 5)) as u128
+            } else {
+                (next() % KEYS as u64) as u128
+            };
+            std::hint::black_box(store.get(key).unwrap());
+        })
+    });
 
     // Cold table reads: every volatile cache dropped before each get, so
     // the chunk reads happen but the fences/blooms still skip tables.
-    let old_config =
-        StoreConfig::builder().lsm_filters(false).decoded_cache_tables(0).build().unwrap();
-    for (name, config) in
-        [("table_get_cold_new", StoreConfig::default()), ("table_get_cold_old", old_config)]
-    {
-        let store = table_resident_store(config);
-        let mut key = 0u128;
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                store.drop_caches();
-                key = (key + 7) % KEYS;
-                std::hint::black_box(store.get(key).unwrap());
-            })
-        });
-    }
+    let mut key = 0u128;
+    group.bench_function("table_get_cold_new", |b| {
+        b.iter(|| {
+            store.drop_caches();
+            key = (key + 7) % KEYS;
+            std::hint::black_box(store.get(key).unwrap());
+        })
+    });
     group.finish();
 }
 
 /// The write path with group commit: the same 32-shard workload as
 /// `kv_ops/put_1k`, issued one put at a time (the serial reference),
 /// through [`Store::put_batch`] (one dependency group, one superblock
-/// update, coalesced disk IOs), with the batch forced through the
-/// WAL-like barrier scheduler (the serial-path ablation: grouping with
-/// no coalescing to gain from it), and under a flush-heavy regime where
-/// the LSM's group-sealed memtable flushes dominate.
+/// update, coalesced disk IOs), and under a flush-heavy regime where the
+/// LSM's group-sealed memtable flushes dominate.
 fn bench_write_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("kv_write_path");
     group.throughput(Throughput::Elements(1));
@@ -195,21 +172,6 @@ fn bench_write_path(c: &mut Criterion) {
         )
     });
 
-    group.bench_function("put_batch_1k_barrier", |b| {
-        b.iter_batched(
-            || {
-                let store = fresh_store();
-                store.scheduler().set_barrier_mode(true);
-                (store, make_batch())
-            },
-            |(store, batch)| {
-                store.put_batch(&batch).unwrap();
-                store.pump().unwrap();
-            },
-            BatchSize::SmallInput,
-        )
-    });
-
     group.bench_function("put_flush_heavy", |b| {
         b.iter_batched(
             fresh_store,
@@ -225,34 +187,6 @@ fn bench_write_path(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    group.finish();
-}
-
-/// The §2.2 motivation: soft updates let independent writes coalesce; a
-/// WAL-like barrier per write cannot.
-fn bench_coalescing_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scheduler_ablation");
-    let payload = vec![7u8; 256];
-    for (name, barrier) in [("soft_updates", false), ("global_barrier", true)] {
-        group.bench_function(name, |b| {
-            b.iter_batched(
-                || {
-                    let store = fresh_store();
-                    store.scheduler().set_barrier_mode(barrier);
-                    store
-                },
-                |store| {
-                    for shard in 0..64u128 {
-                        store.put(shard, &payload).unwrap();
-                    }
-                    store.flush_index().unwrap();
-                    store.pump().unwrap();
-                    store.scheduler().counter("sched.ios_issued")
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
     group.finish();
 }
 
@@ -286,13 +220,7 @@ fn emit_metrics_sidecar() {
     eprintln!("metrics sidecar written to {path}");
 }
 
-criterion_group!(
-    benches,
-    bench_put_get,
-    bench_read_path,
-    bench_write_path,
-    bench_coalescing_ablation
-);
+criterion_group!(benches, bench_put_get, bench_read_path, bench_write_path);
 
 fn main() {
     benches();

@@ -42,19 +42,6 @@ use shardstore_faults::{coverage, BugId, FaultConfig};
 use shardstore_obs::{Counter, Histogram, Obs, TraceEvent};
 use shardstore_vdisk::ExtentId;
 
-/// Cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to the chunk store.
-    pub misses: u64,
-    /// Entries evicted to stay within the byte budget.
-    pub evictions: u64,
-    /// Entries dropped by extent drains.
-    pub drained: u64,
-}
-
 #[derive(Debug)]
 struct Entry {
     payload: Arc<Vec<u8>>,
@@ -86,11 +73,11 @@ impl CacheState {
 }
 
 /// Registry-backed metric handles for the cache. The registry (shared
-/// through the scheduler's [`Obs`]) is the single source of truth;
-/// [`CachedChunkStore::stats`] is a thin compat view over these. The
-/// per-shard histograms record the *segment index* of each hit/miss, so a
-/// snapshot exposes the hit distribution across shards without a counter
-/// per segment.
+/// through the scheduler's [`Obs`]) is the single source of truth: read
+/// `cache.hits`, `cache.misses`, `cache.evictions` and `cache.drained`
+/// there. The per-shard histograms record the *segment index* of each
+/// hit/miss, so a snapshot exposes the hit distribution across shards
+/// without a counter per segment.
 #[derive(Debug, Clone)]
 struct CacheCounters {
     obs: Obs,
@@ -405,18 +392,6 @@ impl CachedChunkStore {
     pub fn cached_bytes(&self) -> usize {
         self.segments.iter().map(|seg| seg.lock().bytes).sum()
     }
-
-    /// Cache statistics. Compat view: the `cache.*` counters in the shared
-    /// registry (see the scheduler's `obs()`) are the source of truth;
-    /// this assembles the legacy struct from them.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.counters.hits.get(),
-            misses: self.counters.misses.get(),
-            evictions: self.counters.evictions.get(),
-            drained: self.counters.drained.get(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -439,6 +414,11 @@ mod tests {
         c.chunk_store().extent_manager().pump().unwrap();
     }
 
+    /// Reads a `cache.*` counter from the shared registry.
+    fn counter(c: &CachedChunkStore, name: &str) -> u64 {
+        c.chunk_store().extent_manager().scheduler().obs().registry().counter(name).get()
+    }
+
     #[test]
     fn second_get_is_a_hit() {
         let c = setup(1024, FaultConfig::none());
@@ -447,9 +427,8 @@ mod tests {
         pump(&c);
         assert_eq!(*c.get(&out.locator).unwrap(), b"cached");
         assert_eq!(*c.get(&out.locator).unwrap(), b"cached");
-        let stats = c.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1);
+        assert_eq!(counter(&c, "cache.misses"), 1);
+        assert_eq!(counter(&c, "cache.hits"), 1);
     }
 
     #[test]
@@ -461,9 +440,9 @@ mod tests {
         assert_eq!(c.cached_bytes(), 0);
         // First read misses (and populates), second hits.
         assert_eq!(*c.get(&out.locator).unwrap(), b"fresh");
-        assert_eq!(c.stats().misses, 1);
+        assert_eq!(counter(&c, "cache.misses"), 1);
         assert_eq!(*c.get(&out.locator).unwrap(), b"fresh");
-        assert_eq!(c.stats().hits, 1);
+        assert_eq!(counter(&c, "cache.hits"), 1);
     }
 
     #[test]
@@ -476,7 +455,7 @@ mod tests {
             c.get(&out.locator).unwrap();
         }
         assert!(c.cached_bytes() <= 100);
-        assert!(c.stats().evictions > 0);
+        assert!(counter(&c, "cache.evictions") > 0);
     }
 
     #[test]
@@ -493,12 +472,11 @@ mod tests {
         c.get(&a.locator).unwrap();
         let d = c.put(Stream::Data, &[3u8; 40], &none).unwrap();
         c.get(&d.locator).unwrap();
-        let before = c.stats();
+        let (hits, misses) = (counter(&c, "cache.hits"), counter(&c, "cache.misses"));
         c.get(&a.locator).unwrap(); // still cached
         c.get(&b.locator).unwrap(); // evicted → miss
-        let after = c.stats();
-        assert_eq!(after.hits - before.hits, 1);
-        assert_eq!(after.misses - before.misses, 1);
+        assert_eq!(counter(&c, "cache.hits") - hits, 1);
+        assert_eq!(counter(&c, "cache.misses") - misses, 1);
     }
 
     #[test]
@@ -509,8 +487,8 @@ mod tests {
         pump(&c);
         c.get(&out.locator).unwrap();
         c.get(&out.locator).unwrap();
-        assert_eq!(c.stats().hits, 0);
-        assert_eq!(c.stats().misses, 2);
+        assert_eq!(counter(&c, "cache.hits"), 0);
+        assert_eq!(counter(&c, "cache.misses"), 2);
     }
 
     #[test]
@@ -604,7 +582,7 @@ mod tests {
         pump(&c);
         assert_eq!(c.cached_bytes(), 0);
         assert_eq!(*c.get(&out.locator).unwrap(), vec![9u8; 50]);
-        assert_eq!(c.stats().misses, 1);
+        assert_eq!(counter(&c, "cache.misses"), 1);
     }
 
     #[test]
@@ -617,7 +595,7 @@ mod tests {
         let disk = c.chunk_store().extent_manager().scheduler().disk().clone();
         // Miss: the range comes off the disk and the cache stays empty.
         assert_eq!(c.get_range(&out.locator, 50, 20).unwrap(), &payload[50..70]);
-        assert_eq!(c.stats().misses, 1);
+        assert_eq!(counter(&c, "cache.misses"), 1);
         assert_eq!(c.cached_bytes(), 0);
         // A whole-chunk get makes the chunk resident; ranges are then
         // sliced from it without touching the disk.
@@ -625,7 +603,7 @@ mod tests {
         let reads = disk.stats().reads;
         assert_eq!(c.get_range(&out.locator, 150, 50).unwrap(), &payload[150..]);
         assert_eq!(disk.stats().reads, reads);
-        assert_eq!(c.stats().hits, 1);
+        assert_eq!(counter(&c, "cache.hits"), 1);
         // Out of range is the store's typed error on hit and miss alike.
         assert!(c.get_range(&out.locator, 150, 51).is_err());
         c.clear();
@@ -658,9 +636,8 @@ mod tests {
         for (i, out) in outs.iter().enumerate() {
             assert_eq!(*c.get(&out.locator).unwrap(), vec![i as u8; 30]);
         }
-        let stats = c.stats();
-        assert_eq!(stats.misses, 20);
-        assert_eq!(stats.hits, 20);
+        assert_eq!(counter(&c, "cache.misses"), 20);
+        assert_eq!(counter(&c, "cache.hits"), 20);
         assert_eq!(c.cached_bytes(), 20 * 30);
         // Entries landed in more than one segment.
         let used: std::collections::BTreeSet<usize> = outs
@@ -689,6 +666,6 @@ mod tests {
             c.drain_extent(extent);
         }
         assert_eq!(c.cached_bytes(), 0);
-        assert_eq!(c.stats().drained, 10);
+        assert_eq!(counter(&c, "cache.drained"), 10);
     }
 }

@@ -64,16 +64,9 @@ impl BackendKind {
     /// [`BackendKind::file_in_temp`], and `file:<dir>` roots the volumes
     /// at `<dir>`. Unknown values fall back to `Memory` so a typo cannot
     /// silently flip a determinism-sensitive suite onto the filesystem.
-    ///
-    /// Inside a model-checked execution the env var is ignored entirely:
-    /// suite-wide redirection must not leak real IO into checked
-    /// schedules (an *explicitly* configured file backend there is still
-    /// rejected by the builder with
-    /// [`ConfigError::FileBackendUnderChecker`]).
+    /// Inside a model-checked execution `Store::format` still formats an
+    /// in-memory disk whatever this returns.
     pub fn from_env() -> Self {
-        if shardstore_conc::is_controlled() {
-            return BackendKind::Memory;
-        }
         match std::env::var("SHARDSTORE_BACKEND") {
             Ok(v) if v == "file" => Self::file_in_temp(),
             Ok(v) => match v.strip_prefix("file:") {
@@ -104,10 +97,6 @@ pub enum ConfigError {
         /// Configured per-executor queue depth.
         queue_depth: usize,
     },
-    /// A file backend was configured inside a model-checked execution.
-    /// Checked schedules must stay independent of the host filesystem, so
-    /// only the in-memory backend is legal there.
-    FileBackendUnderChecker,
     /// A file backend was configured with an empty volume directory.
     EmptyBackendDir,
 }
@@ -120,9 +109,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "config: batch_window ({batch_window}) exceeds queue_depth ({queue_depth})"
             ),
-            ConfigError::FileBackendUnderChecker => {
-                write!(f, "config: the file backend is not allowed under the model checker")
-            }
             ConfigError::EmptyBackendDir => {
                 write!(f, "config: file backend volume directory must be non-empty")
             }
@@ -177,13 +163,7 @@ impl StoreConfigBuilder {
         self
     }
 
-    /// Build per-table fence/bloom metadata on the index read path.
-    pub fn lsm_filters(mut self, on: bool) -> Self {
-        self.config.lsm_filters = on;
-        self
-    }
-
-    /// Decoded-table cache capacity in tables; 0 disables it.
+    /// Decoded-table cache capacity in tables (at least 1).
     pub fn decoded_cache_tables(mut self, tables: usize) -> Self {
         self.config.decoded_cache_tables = tables;
         self
@@ -217,30 +197,21 @@ impl StoreConfigBuilder {
 
     /// Validates and returns the configuration.
     pub fn build(self) -> Result<StoreConfig, ConfigError> {
-        if self.config.max_chunk_size == 0 {
-            return Err(ConfigError::Zero { field: "max_chunk_size" });
-        }
-        if self.config.flush_threshold == 0 {
-            return Err(ConfigError::Zero { field: "flush_threshold" });
-        }
-        if self.config.memtable_shards == 0 {
-            return Err(ConfigError::Zero { field: "memtable_shards" });
-        }
-        if self.config.compaction_trigger_tables == 0 {
-            return Err(ConfigError::Zero { field: "compaction_trigger_tables" });
-        }
-        if self.config.block_size == 0 {
-            return Err(ConfigError::Zero { field: "block_size" });
+        let c = &self.config;
+        let positive = [
+            ("max_chunk_size", c.max_chunk_size),
+            ("flush_threshold", c.flush_threshold),
+            ("decoded_cache_tables", c.decoded_cache_tables),
+            ("memtable_shards", c.memtable_shards),
+            ("compaction_trigger_tables", c.compaction_trigger_tables),
+            ("block_size", c.block_size),
+        ];
+        if let Some(&(field, _)) = positive.iter().find(|(_, v)| *v == 0) {
+            return Err(ConfigError::Zero { field });
         }
         if let BackendKind::File { dir, .. } = &self.config.backend {
             if dir.as_os_str().is_empty() {
                 return Err(ConfigError::EmptyBackendDir);
-            }
-            // Crash-state enumeration and schedule exploration must not
-            // depend on the host filesystem: a config built inside a
-            // checked execution may only use the in-memory backend.
-            if shardstore_conc::is_controlled() {
-                return Err(ConfigError::FileBackendUnderChecker);
             }
         }
         Ok(self.config)

@@ -110,9 +110,7 @@ pub struct StoreConfig {
     pub cache_capacity: usize,
     /// Deterministic seed for chunk UUID generation.
     pub uuid_seed: u64,
-    /// Build per-table fence/bloom metadata on the index read path.
-    pub lsm_filters: bool,
-    /// Decoded-table cache capacity (in tables); 0 disables it.
+    /// Decoded-table cache capacity (in tables, at least 1).
     pub decoded_cache_tables: usize,
     /// Key-hashed memtable shard count (clamped to at least 1). `1`
     /// reproduces the old single-lock memtable for ablation.
@@ -135,7 +133,6 @@ impl Default for StoreConfig {
             flush_threshold: 64,
             cache_capacity: 1 << 20,
             uuid_seed: 1,
-            lsm_filters: true,
             decoded_cache_tables: 8,
             memtable_shards: 8,
             compaction_trigger_tables: 8,
@@ -155,7 +152,6 @@ impl StoreConfig {
             flush_threshold: 6,
             cache_capacity: 512,
             uuid_seed: 1,
-            lsm_filters: true,
             decoded_cache_tables: 2,
             // Two shards: enough to exercise the cross-shard merge paths
             // without multiplying checker scheduling points.
@@ -169,7 +165,6 @@ impl StoreConfig {
 
     fn lsm_config(&self) -> shardstore_lsm::LsmConfig {
         shardstore_lsm::LsmConfig {
-            filters: self.lsm_filters,
             decoded_cache_tables: self.decoded_cache_tables,
             memtable_shards: self.memtable_shards,
             compaction_trigger_tables: self.compaction_trigger_tables,
@@ -245,11 +240,12 @@ impl Store {
             crate::config::BackendKind::Memory => Ok(Disk::new(geometry)),
             crate::config::BackendKind::File { dir, preallocate } => {
                 if shardstore_conc::is_controlled() {
-                    // A checked execution must stay off the filesystem even
-                    // when the suite-wide env var asks for real storage:
-                    // schedule exploration and crash enumeration only have
-                    // their exhaustiveness guarantees over the in-memory
-                    // backend.
+                    // The one guard between a config and real IO under the
+                    // checker: a checked execution stays off the filesystem
+                    // even when the env var or an explicit config asks for
+                    // real storage. Schedule exploration and crash
+                    // enumeration only have their exhaustiveness guarantees
+                    // over the in-memory backend.
                     coverage::hit("store.backend.checker_fallback");
                     return Ok(Disk::new(geometry));
                 }

@@ -363,16 +363,18 @@ fn store_config_builder_validates() {
         StoreConfig::builder().flush_threshold(0).build(),
         Err(ConfigError::Zero { field: "flush_threshold" })
     ));
+    assert!(matches!(
+        StoreConfig::builder().decoded_cache_tables(0).build(),
+        Err(ConfigError::Zero { field: "decoded_cache_tables" })
+    ));
     let config = StoreConfig::builder()
         .max_chunk_size(4096)
         .flush_threshold(8)
         .cache_capacity(16)
-        .lsm_filters(false)
         .build()
         .unwrap();
     assert_eq!(config.max_chunk_size, 4096);
     assert_eq!(config.flush_threshold, 8);
-    assert!(!config.lsm_filters);
 }
 
 #[test]

@@ -216,3 +216,24 @@ proptest! {
         fs::remove_file(&path).unwrap();
     }
 }
+
+/// The one guard between a `StoreConfig` and real IO under the model
+/// checker: inside a checked execution, formatting with an explicit file
+/// backend yields an in-memory disk and never touches the filesystem.
+#[test]
+fn explicit_file_backend_falls_back_to_memory_under_checker() {
+    let dir = unique_path("checker-fallback");
+    let config = StoreConfig::small()
+        .to_builder()
+        .backend(BackendKind::File { dir: dir.clone(), preallocate: false })
+        .build()
+        .unwrap();
+    let _rec = shardstore_faults::coverage::Recording::start();
+    shardstore_conc::check(shardstore_conc::CheckOptions::random(7, 2), || {
+        let store = Store::format(Geometry::small(), config.clone(), FaultConfig::none());
+        assert_eq!(store.scheduler().disk().backend_kind(), "memory");
+    })
+    .expect("checked format succeeds");
+    assert_eq!(shardstore_faults::coverage::count("store.backend.checker_fallback"), 2);
+    assert!(!dir.exists(), "the checked execution created the volume directory");
+}

@@ -108,9 +108,6 @@ struct Inner {
     /// Issued-but-unflushed writes, grouped by the extent they dirtied.
     issued: BTreeMap<ExtentId, Vec<NodeId>>,
     issued_total: usize,
-    /// When true, every write is flushed individually as it is issued
-    /// (the "global barrier" ablation mode — no coalescing benefit).
-    barrier_mode: bool,
     /// How many immediate in-call retries a transient (`Injected`) write
     /// failure gets before the batch is requeued and the error surfaced.
     retry_budget: u32,
@@ -318,7 +315,6 @@ impl IoScheduler {
                     ready: VecDeque::new(),
                     issued: BTreeMap::new(),
                     issued_total: 0,
-                    barrier_mode: false,
                     retry_budget: DEFAULT_RETRY_BUDGET,
                     obs,
                     counters,
@@ -332,13 +328,6 @@ impl IoScheduler {
     /// attached to its disk).
     pub fn obs(&self) -> Obs {
         self.core.obs.clone()
-    }
-
-    /// Enables the write-ahead-log-like ablation mode: every write is
-    /// issued and flushed individually, defeating coalescing. Used by the
-    /// benches to quantify what soft updates buy (§2.2 motivation).
-    pub fn set_barrier_mode(&self, on: bool) {
-        self.core.inner.lock().barrier_mode = on;
     }
 
     /// The underlying disk.
@@ -579,9 +568,6 @@ impl IoScheduler {
     pub fn issue_ready(&self, max: usize) -> Result<usize, IoError> {
         let mut guard = self.core.inner.lock();
         let inner = &mut *guard;
-        if inner.barrier_mode {
-            return Self::issue_barrier(inner, &self.core.disk, max);
-        }
         let mut batch: Vec<NodeId> = Vec::new();
         while batch.len() < max {
             let Some(id) = inner.ready.pop_front() else { break };
@@ -712,70 +698,6 @@ impl IoScheduler {
             inner.counters.retry_exhausted.inc();
         }
         result
-    }
-
-    /// The barrier-mode (WAL ablation) issue path: one IO and one fence
-    /// per write, no coalescing.
-    fn issue_barrier(inner: &mut Inner, disk: &Disk, max: usize) -> Result<usize, IoError> {
-        let mut issued = 0usize;
-        while issued < max {
-            let id = loop {
-                match inner.ready.pop_front() {
-                    None => break None,
-                    Some(id) if Self::is_ready_write(inner, id) => break Some(id),
-                    Some(_) => {}
-                }
-            };
-            let Some(id) = id else { break };
-            let (extent, offset, data) = match &mut inner.nodes[id].kind {
-                NodeKind::Write { extent, offset, data, .. } => {
-                    (*extent, *offset, data.take().expect("pending write has data"))
-                }
-                NodeKind::Join { .. } => unreachable!("ready queue holds only writes"),
-            };
-            if let Err(e) = Self::write_with_retry(inner, disk, extent, offset, &data) {
-                if let NodeKind::Write { data: d, .. } = &mut inner.nodes[id].kind {
-                    *d = Some(data);
-                }
-                inner.ready.push_front(id);
-                inner.counters.writes_retried.inc();
-                Self::drop_issued_from_pending(inner);
-                return Err(e);
-            }
-            if let NodeKind::Write { state, .. } = &mut inner.nodes[id].kind {
-                *state = WriteState::Issued;
-            }
-            {
-                let (o, l) = Self::write_range(inner, id);
-                inner.obs.trace().event(TraceEvent::WriteIssued {
-                    node: id as u64,
-                    extent: extent.0,
-                    offset: o as u32,
-                    len: l as u32,
-                });
-            }
-            inner.issued.entry(extent).or_default().push(id);
-            inner.issued_total += 1;
-            inner.counters.ios_issued.inc();
-            inner.counters.batches_issued.inc();
-            issued += 1;
-            if let Err(e) = disk.flush_extent(extent) {
-                Self::drop_issued_from_pending(inner);
-                return Err(e);
-            }
-            inner.counters.flushes.inc();
-            inner.counters.extents_fenced.inc();
-            let ids = inner.issued.remove(&extent).unwrap_or_default();
-            inner.issued_total -= ids.len();
-            for wid in ids {
-                if let NodeKind::Write { state, .. } = &mut inner.nodes[wid].kind {
-                    *state = WriteState::Persisted;
-                }
-                Self::resolve(inner, wid);
-            }
-        }
-        Self::drop_issued_from_pending(inner);
-        Ok(issued)
     }
 
     /// Reads through the scheduler: disk content overlaid with the data
@@ -1553,18 +1475,6 @@ mod tests {
         assert_eq!(s.counter("sched.ios_issued"), 1, "three contiguous writes should be one IO");
         assert_eq!(s.counter("sched.writes_coalesced"), 2);
         assert_eq!(disk.read(ExtentId(1), 0, 6).unwrap(), b"aabbcc");
-    }
-
-    #[test]
-    fn barrier_mode_defeats_coalescing() {
-        let (_disk, s) = setup();
-        s.set_barrier_mode(true);
-        let none = s.none();
-        s.submit_write(ExtentId(1), 0, b"aa".to_vec(), &none);
-        s.submit_write(ExtentId(1), 2, b"bb".to_vec(), &none);
-        s.pump().unwrap();
-        assert_eq!(s.counter("sched.ios_issued"), 2);
-        assert_eq!(s.counter("sched.writes_coalesced"), 0);
     }
 
     #[test]

@@ -98,46 +98,42 @@ pub fn sample_sequences<T: std::fmt::Debug>(
     })
 }
 
-fn search_kv<F>(
+/// A counterexample's size before and after minimization.
+type Shrunk = (SequenceSize, SequenceSize);
+
+/// Searches `strategy`'s sequences until `run` reports a failure, then
+/// shrinks the counterexample (§4.3) with `shrink`, which gets the
+/// original, the config and a "still fails" predicate and returns the
+/// (original, minimized) sizes.
+fn search<T: std::fmt::Debug>(
     bug: BugId,
-    gen_cfg: GenConfig,
+    strategy: impl Strategy<Value = Vec<T>>,
     budget: DetectBudget,
     method: &'static str,
     background: bool,
-    run: F,
-) -> Detection
-where
-    F: Fn(&[KvOp], &ConformanceConfig) -> Option<String>,
-{
+    run: impl Fn(&[T], &ConformanceConfig) -> Option<String>,
+    shrink: impl Fn(&[T], &ConformanceConfig, &dyn Fn(&[T]) -> bool) -> Shrunk,
+) -> Detection {
     let mut cfg = ConformanceConfig::with_faults(FaultConfig::seed(bug));
     cfg.background_writeback = background;
     let mut attempts = 0u64;
-    for ops in sample_sequences(kv_ops(gen_cfg), budget.seed ^ bug.number() as u64, budget.max_sequences)
-    {
+    for ops in sample_sequences(strategy, budget.seed ^ bug.number() as u64, budget.max_sequences) {
         attempts += 1;
         if let Some(detail) = run(&ops, &cfg) {
-            // Minimize the counterexample (§4.3). Minimization needs
-            // deterministic replay — "still fails" must be well-defined —
-            // which the live background pump thread breaks. So background
-            // detections quiesce before minimizing: candidates are
-            // replayed with the pump disabled (the checked properties are
-            // timing-independent, so any sequence that still fails
-            // deterministically is the same bug). Counterexamples that
-            // *only* fail under the racing pump are reported un-minimized.
-            let replay_cfg = if background {
-                let mut c = cfg.clone();
-                c.background_writeback = false;
-                c
-            } else {
-                cfg.clone()
-            };
+            // Minimization needs deterministic replay — "still fails" must
+            // be well-defined — which the live background pump thread
+            // breaks. So background detections quiesce before minimizing:
+            // candidates are replayed with the pump disabled (the checked
+            // properties are timing-independent, so any sequence that
+            // still fails deterministically is the same bug).
+            // Counterexamples that *only* fail under the racing pump are
+            // reported un-minimized.
+            let mut replay_cfg = cfg.clone();
+            replay_cfg.background_writeback = false;
             let minimized = if background && run(&ops, &replay_cfg).is_none() {
                 None
             } else {
-                let original = measure(&ops, cfg.geometry.page_size);
-                let minimized_ops =
-                    minimize(&ops, |candidate| run(candidate, &replay_cfg).is_some());
-                Some((original, measure(&minimized_ops, cfg.geometry.page_size)))
+                Some(shrink(&ops, &cfg, &|candidate| run(candidate, &replay_cfg).is_some()))
             };
             return Detection { bug, detected: true, method, attempts, minimized, detail };
         }
@@ -152,70 +148,33 @@ where
     }
 }
 
-fn search_node(bug: BugId, budget: DetectBudget, background: bool) -> Detection {
-    let mut cfg = ConformanceConfig::with_faults(FaultConfig::seed(bug));
-    cfg.background_writeback = background;
-    let mut attempts = 0u64;
-    for ops in sample_sequences(
-        node_ops(GenConfig::conformance()),
-        budget.seed ^ bug.number() as u64,
-        budget.max_sequences,
-    ) {
-        attempts += 1;
-        if let Err(d) = run_node_conformance(&ops, &cfg, 2) {
-            // Greedy op-removal shrink. Under the background pump the
-            // quiesce-before-minimize rule applies (see search_kv):
-            // candidates replay with the pump disabled, and purely
-            // schedule-dependent counterexamples stay un-minimized.
-            let replay_cfg = if background {
-                let mut c = cfg.clone();
-                c.background_writeback = false;
-                c
-            } else {
-                cfg.clone()
-            };
-            let minimized = if background && run_node_conformance(&ops, &replay_cfg, 2).is_ok() {
-                None
-            } else {
-                let fails = |candidate: &[NodeOp]| {
-                    run_node_conformance(candidate, &replay_cfg, 2).is_err()
-                };
-                let mut current: Vec<NodeOp> = ops.clone();
-                let mut changed = true;
-                while changed {
-                    changed = false;
-                    for i in (0..current.len()).rev() {
-                        let mut candidate = current.clone();
-                        candidate.remove(i);
-                        if !candidate.is_empty() && fails(&candidate) {
-                            current = candidate;
-                            changed = true;
-                        }
-                    }
-                }
-                Some((
-                    SequenceSize { ops: ops.len(), crashes: 0, bytes_written: 0 },
-                    SequenceSize { ops: current.len(), crashes: 0, bytes_written: 0 },
-                ))
-            };
-            return Detection {
-                bug,
-                detected: true,
-                method: "conformance PBT (control plane)",
-                attempts,
-                minimized,
-                detail: d.to_string(),
-            };
+/// The §4.3 minimizer over key-value sequences, sized in its units.
+fn shrink_kv(ops: &[KvOp], cfg: &ConformanceConfig, fails: &dyn Fn(&[KvOp]) -> bool) -> Shrunk {
+    let page_size = cfg.geometry.page_size;
+    (measure(ops, page_size), measure(&minimize(ops, fails), page_size))
+}
+
+/// Greedy single-op removal over control-plane sequences, sized in ops.
+fn shrink_node(ops: &[NodeOp], _: &ConformanceConfig, fails: &dyn Fn(&[NodeOp]) -> bool) -> Shrunk {
+    let mut current: Vec<NodeOp> = ops.to_vec();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for i in (0..current.len()).rev() {
+            let mut candidate = current.clone();
+            candidate.remove(i);
+            if !candidate.is_empty() && fails(&candidate) {
+                current = candidate;
+                changed = true;
+            }
         }
     }
-    Detection {
-        bug,
-        detected: false,
-        method: "conformance PBT (control plane)",
-        attempts,
-        minimized: None,
-        detail: "no counterexample within budget".into(),
-    }
+    let size = |ops| SequenceSize { ops, crashes: 0, bytes_written: 0 };
+    (size(ops.len()), size(current.len()))
+}
+
+fn conformance_failure(ops: &[KvOp], cfg: &ConformanceConfig) -> Option<String> {
+    run_conformance(ops, cfg).err().map(|d| d.to_string())
 }
 
 fn run_conc(
@@ -321,31 +280,42 @@ pub fn detect_background(bug: BugId, budget: DetectBudget) -> Detection {
 fn detect_with(bug: BugId, budget: DetectBudget, background: bool) -> Detection {
     use BugId::*;
     match bug {
-        B1ReclamationOffByOne | B2CacheNotDrained | B3MetadataShutdownFlush => search_kv(
+        B1ReclamationOffByOne | B2CacheNotDrained | B3MetadataShutdownFlush => search(
             bug,
-            GenConfig::conformance(),
+            kv_ops(GenConfig::conformance()),
             budget,
             "conformance PBT",
             background,
-            |ops, cfg| run_conformance(ops, cfg).err().map(|d| d.to_string()),
+            conformance_failure,
+            shrink_kv,
         ),
-        B4DiskRemovalLosesShards => search_node(bug, budget, background),
-        B5ReclamationTransientError => search_kv(
+        B4DiskRemovalLosesShards => search(
             bug,
-            GenConfig::failure(),
+            node_ops(GenConfig::conformance()),
+            budget,
+            "conformance PBT (control plane)",
+            background,
+            |ops, cfg| run_node_conformance(ops, cfg, 2).err().map(|d| d.to_string()),
+            shrink_node,
+        ),
+        B5ReclamationTransientError => search(
+            bug,
+            kv_ops(GenConfig::failure()),
             budget,
             "failure-injection PBT",
             background,
-            |ops, cfg| run_conformance(ops, cfg).err().map(|d| d.to_string()),
+            conformance_failure,
+            shrink_kv,
         ),
         B6OwnershipDependency | B7SoftHardPointerMismatch | B8MissingPointerDependency
-        | B9ModelCrashReclamation | B10UuidCollision => search_kv(
+        | B9ModelCrashReclamation | B10UuidCollision => search(
             bug,
-            GenConfig::crash(),
+            kv_ops(GenConfig::crash()),
             budget,
             "crash-consistency PBT",
             background,
             |ops, cfg| run_crash_consistency(ops, cfg).err().map(|d| d.to_string()),
+            shrink_kv,
         ),
         B11LocatorRace if background => {
             run_conc(bug, budget, crate::concurrent::put_reclaim_background_harness)

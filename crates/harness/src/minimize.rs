@@ -180,50 +180,10 @@ pub fn minimize_repro<Op: Clone>(
         }
         // Schedule-point removal: each fault, crash, drop, and delay is
         // individually optional.
-        let mut idx = 0;
-        while idx < current.schedule.faults.len() {
-            let mut cand = current.clone();
-            cand.schedule.faults.remove(idx);
-            if still(&cand) {
-                current = cand;
-                progress = true;
-            } else {
-                idx += 1;
-            }
-        }
-        let mut idx = 0;
-        while idx < current.schedule.crashes.len() {
-            let mut cand = current.clone();
-            cand.schedule.crashes.remove(idx);
-            if still(&cand) {
-                current = cand;
-                progress = true;
-            } else {
-                idx += 1;
-            }
-        }
-        let mut idx = 0;
-        while idx < current.schedule.drops.len() {
-            let mut cand = current.clone();
-            cand.schedule.drops.remove(idx);
-            if still(&cand) {
-                current = cand;
-                progress = true;
-            } else {
-                idx += 1;
-            }
-        }
-        let mut idx = 0;
-        while idx < current.schedule.delays.len() {
-            let mut cand = current.clone();
-            cand.schedule.delays.remove(idx);
-            if still(&cand) {
-                current = cand;
-                progress = true;
-            } else {
-                idx += 1;
-            }
-        }
+        progress |= drop_points(&mut current, |s| &mut s.faults, &still);
+        progress |= drop_points(&mut current, |s| &mut s.crashes, &still);
+        progress |= drop_points(&mut current, |s| &mut s.drops, &still);
+        progress |= drop_points(&mut current, |s| &mut s.delays, &still);
         // Tick silencing: a repro that fails without timer ticks is
         // simpler.
         if current.schedule.tick_every != 0 {
@@ -236,6 +196,28 @@ pub fn minimize_repro<Op: Clone>(
         }
     }
     current
+}
+
+/// Removes, one at a time, every point of the schedule list `points`
+/// selects that the failure does not need. Returns whether any went.
+fn drop_points<Op: Clone, T>(
+    current: &mut SimRepro<Op>,
+    points: fn(&mut SimSchedule) -> &mut Vec<T>,
+    still: &impl Fn(&SimRepro<Op>) -> bool,
+) -> bool {
+    let mut progress = false;
+    let mut idx = 0;
+    while idx < points(&mut current.schedule).len() {
+        let mut cand = current.clone();
+        points(&mut cand.schedule).remove(idx);
+        if still(&cand) {
+            *current = cand;
+            progress = true;
+        } else {
+            idx += 1;
+        }
+    }
+    progress
 }
 
 #[cfg(test)]

@@ -55,15 +55,10 @@ pub use filter::{KeyFilter, TableMeta};
 /// Read-path tuning knobs for the index.
 #[derive(Debug, Clone, Copy)]
 pub struct LsmConfig {
-    /// Build per-table fences and bloom filters (at flush, compaction,
-    /// and recovery) so point lookups skip tables that cannot contain the
-    /// key. Disabling reverts to reading every table newest-first.
-    pub filters: bool,
-    /// Maximum number of decoded tables kept in the decoded-entry cache;
-    /// `0` disables the cache (every lookup re-reads and re-decodes table
-    /// bytes). Keyed by table id — ids are monotonic and never reused, and
-    /// table content is immutable (relocation moves bytes verbatim), so a
-    /// cached decode can never go stale.
+    /// Maximum number of decoded tables kept in the decoded-entry cache
+    /// (clamped to at least 1). Keyed by table id — ids are monotonic and
+    /// never reused, and table content is immutable (relocation moves
+    /// bytes verbatim), so a cached decode can never go stale.
     pub decoded_cache_tables: usize,
     /// Number of key-hashed memtable shards (clamped to at least 1).
     /// Point ops lock only the key's shard; scans, flush, and the merged
@@ -85,7 +80,6 @@ pub struct LsmConfig {
 impl Default for LsmConfig {
     fn default() -> Self {
         Self {
-            filters: true,
             decoded_cache_tables: 8,
             memtable_shards: 8,
             compaction_trigger_tables: 8,
@@ -147,19 +141,6 @@ impl From<CodecError> for LsmError {
     }
 }
 
-/// LSM statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LsmStats {
-    /// Mutations applied (puts + deletes).
-    pub mutations: u64,
-    /// Lookups served.
-    pub gets: u64,
-    /// Memtable flushes performed.
-    pub flushes: u64,
-    /// Compactions performed.
-    pub compactions: u64,
-}
-
 #[derive(Debug)]
 struct MemEntry {
     value: IndexValue,
@@ -182,9 +163,8 @@ struct Table {
     /// several chunks). Shared so readers snapshot the list with one
     /// refcount bump instead of deep-cloning it under the state lock.
     locators: Arc<[Locator]>,
-    /// Fence + bloom metadata for lookup skipping; `None` when filters
-    /// are disabled by config.
-    meta: Option<Arc<TableMeta>>,
+    /// Fence + bloom metadata for lookup skipping.
+    meta: Arc<TableMeta>,
     /// Persists once the table's bytes *and* every data chunk its entries
     /// reference are durable (transitively, because the table write's
     /// input dependency joins its entries' data dependencies).
@@ -196,7 +176,7 @@ impl Table {
         TableSnapshot {
             id: self.id,
             locators: Arc::clone(&self.locators),
-            meta: self.meta.clone(),
+            meta: Arc::clone(&self.meta),
         }
     }
 }
@@ -263,7 +243,7 @@ fn pick_compaction(sizes: &[u64]) -> Option<std::ops::Range<usize>> {
 struct TableSnapshot {
     id: u64,
     locators: Arc<[Locator]>,
-    meta: Option<Arc<TableMeta>>,
+    meta: Arc<TableMeta>,
 }
 
 #[derive(Debug)]
@@ -323,8 +303,7 @@ struct LsmState {
 }
 
 /// Registry-backed metric handles for the index. The shared registry
-/// (reached through the chunk store's scheduler) is the source of truth;
-/// [`LsmIndex::stats`] is a thin compat view over these.
+/// (reached through the chunk store's scheduler) is the source of truth.
 #[derive(Debug, Clone)]
 struct LsmCounters {
     obs: Obs,
@@ -572,7 +551,7 @@ impl LsmIndex {
                 }
                 Err(e) => return Err(e),
             };
-            let meta = index.table_meta_of(&entries);
+            let meta = Self::table_meta_of(&entries);
             index.decoded_insert(t.id, Arc::clone(&entries));
             tables.push(Table {
                 id: t.id,
@@ -604,23 +583,17 @@ impl LsmIndex {
         Ok(index)
     }
 
-    /// Builds table metadata from decoded entries, honoring the config
-    /// toggle. Keys cover tombstones too: skipping a table holding a
-    /// tombstone would resurrect the shadowed older value.
-    fn table_meta_of(&self, entries: &[codec::SsEntry]) -> Option<Arc<TableMeta>> {
-        if !self.core.config.filters {
-            return None;
-        }
+    /// Builds table metadata from decoded entries. Keys cover tombstones
+    /// too: skipping a table holding a tombstone would resurrect the
+    /// shadowed older value.
+    fn table_meta_of(entries: &[codec::SsEntry]) -> Arc<TableMeta> {
         let keys: Vec<u128> = entries.iter().map(|(k, _)| *k).collect();
-        Some(Arc::new(TableMeta::build(&keys)))
+        Arc::new(TableMeta::build(&keys))
     }
 
     /// Looks up a cached decode by `(table id, block)`, refreshing its
     /// LRU position.
     fn decoded_lookup_at(&self, id: u64, block: u32) -> Option<Arc<Vec<codec::SsEntry>>> {
-        if self.core.config.decoded_cache_tables == 0 {
-            return None;
-        }
         let mut cache = self.core.decoded.lock();
         cache.tick += 1;
         let tick = cache.tick;
@@ -640,10 +613,7 @@ impl LsmIndex {
     /// single blocks alike — so block-granular entries from cold point
     /// lookups cannot balloon memory past the configured bound.
     fn decoded_insert_at(&self, id: u64, block: u32, entries: Arc<Vec<codec::SsEntry>>) {
-        let capacity = self.core.config.decoded_cache_tables;
-        if capacity == 0 {
-            return;
-        }
+        let capacity = self.core.config.decoded_cache_tables.max(1);
         let mut cache = self.core.decoded.lock();
         cache.tick += 1;
         let tick = cache.tick;
@@ -667,16 +637,10 @@ impl LsmIndex {
 
     /// Looks up a cached fence index.
     fn index_lookup(&self, id: u64) -> Option<Arc<codec::TableIndex>> {
-        if self.core.config.decoded_cache_tables == 0 {
-            return None;
-        }
         self.core.decoded.lock().indexes.get(&id).cloned()
     }
 
     fn index_insert(&self, id: u64, index: Arc<codec::TableIndex>) {
-        if self.core.config.decoded_cache_tables == 0 {
-            return;
-        }
         self.core.decoded.lock().indexes.insert(id, index);
     }
 
@@ -686,9 +650,6 @@ impl LsmIndex {
     /// memory bounded by the LRU capacity, never correctness (ids are
     /// unique and content immutable).
     fn decoded_prune(&self, live: &std::collections::BTreeSet<u64>) {
-        if self.core.config.decoded_cache_tables == 0 {
-            return;
-        }
         let mut cache = self.core.decoded.lock();
         cache.blocks.retain(|(id, _), _| live.contains(id));
         cache.indexes.retain(|id, _| live.contains(id));
@@ -1040,17 +1001,15 @@ impl LsmIndex {
         for table in tables {
             // Fence then bloom: skip tables that provably cannot contain
             // the key, avoiding the chunk read and the decode entirely.
-            if let Some(meta) = &table.meta {
-                if !meta.in_fence(key) {
-                    coverage::hit("lsm.get.fence_skip");
-                    self.core.counters.fence_skips.inc();
-                    continue;
-                }
-                if !meta.bloom_may_contain(key) {
-                    coverage::hit("lsm.get.bloom_skip");
-                    self.core.counters.bloom_skips.inc();
-                    continue;
-                }
+            if !table.meta.in_fence(key) {
+                coverage::hit("lsm.get.fence_skip");
+                self.core.counters.fence_skips.inc();
+                continue;
+            }
+            if !table.meta.bloom_may_contain(key) {
+                coverage::hit("lsm.get.bloom_skip");
+                self.core.counters.bloom_skips.inc();
+                continue;
             }
             self.core.counters.tables_consulted.inc();
             let entries = if let Some(entries) = self.decoded_lookup(table.id) {
@@ -1085,10 +1044,7 @@ impl LsmIndex {
                 }
                 // The filters said "maybe present" but the table does not
                 // contain the key: a bloom false positive.
-                Err(_) if table.meta.is_some() => {
-                    self.core.counters.bloom_false_positives.inc();
-                }
-                Err(_) => {}
+                Err(_) => self.core.counters.bloom_false_positives.inc(),
             }
         }
         coverage::hit("lsm.get.miss");
@@ -1182,12 +1138,10 @@ impl LsmIndex {
             let mut pruned = 0u64;
             let overlapping: Vec<&TableSnapshot> = tables
                 .iter()
-                .filter(|t| match &t.meta {
-                    Some(m) if !m.overlaps(start, end) => {
-                        pruned += 1;
-                        false
-                    }
-                    _ => true,
+                .filter(|t| {
+                    let keep = t.meta.overlaps(start, end);
+                    pruned += u64::from(!keep);
+                    keep
                 })
                 .collect();
             if pruned > 0 {
@@ -1379,7 +1333,7 @@ impl LsmIndex {
         // write metadata, seal promises. The freshly built entries also
         // seed the decoded cache — the table is hot by definition.
         let entries = Arc::new(entries);
-        let table_meta = self.table_meta_of(&entries);
+        let table_meta = Self::table_meta_of(&entries);
         let table_id = {
             let mut st = self.core.state.lock();
             let id = st.next_table_id;
@@ -1531,7 +1485,7 @@ impl LsmIndex {
         // does not reference it yet.
         shardstore_conc::yield_now();
         let entries = Arc::new(entries);
-        let table_meta = self.table_meta_of(&entries);
+        let table_meta = Self::table_meta_of(&entries);
         let run_ids: std::collections::BTreeSet<u64> = run.iter().map(|(id, _)| *id).collect();
         let (new_id, live_ids) = {
             let mut st = self.core.state.lock();
@@ -1644,18 +1598,6 @@ impl LsmIndex {
     /// Number of live SSTables.
     pub fn table_count(&self) -> usize {
         self.core.state.lock().tables.len()
-    }
-
-    /// Statistics: a compatibility view assembled from the obs registry
-    /// counters (the registry is the single source of truth).
-    pub fn stats(&self) -> LsmStats {
-        let c = &self.core.counters;
-        LsmStats {
-            mutations: c.mutations.get(),
-            gets: c.gets.get(),
-            flushes: c.flushes.get(),
-            compactions: c.compactions.get(),
-        }
     }
 
     /// Reverse-lookup callback for shard-data extents.

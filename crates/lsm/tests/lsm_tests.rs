@@ -493,71 +493,26 @@ fn decoded_cache_avoids_repeat_decodes() {
 }
 
 #[test]
-fn decoded_cache_capacity_zero_disables_caching() {
-    let _g = cov_guard();
-    let index = setup_config(LsmConfig {
-        filters: true,
-        decoded_cache_tables: 0,
-        memtable_shards: 4,
-        ..LsmConfig::default()
-    });
-    index.put2(5, vec![loc(3, 0, 11)]);
-    index.flush().unwrap();
-    let _rec = coverage::Recording::start();
-    assert_eq!(index.get(5).unwrap(), Some(vec![loc(3, 0, 11)]));
-    assert_eq!(index.get(5).unwrap(), Some(vec![loc(3, 0, 11)]));
-    assert_eq!(coverage::count("lsm.decoded.hit"), 0);
-    assert_eq!(coverage::count("lsm.decoded.miss"), 2);
-}
-
-#[test]
 fn decoded_cache_evicts_least_recently_used_table() {
     let _g = cov_guard();
     let index = setup_config(LsmConfig {
-        filters: false,
         decoded_cache_tables: 2,
         memtable_shards: 4,
         ..LsmConfig::default()
     });
-    // Three tables, capacity two: reading all three in order must evict.
+    // Three single-key tables, capacity two: the fences route each get to
+    // its own table, so three cold reads decode three blocks and must evict.
     for k in 0..3u128 {
         index.put2(k, vec![loc(3, k as u32, k)]);
         index.flush().unwrap();
     }
     index.drop_decoded_cache();
     let _rec = coverage::Recording::start();
-    // Filters are off, so each get touches every newer table too; the
-    // oldest key walks all three tables and fills + overflows the cache.
-    for k in (0..3u128).rev() {
+    for k in 0..3u128 {
         assert_eq!(index.get(k).unwrap(), Some(vec![loc(3, k as u32, k)]));
     }
+    assert_eq!(coverage::count("lsm.decoded.miss"), 3);
     assert!(coverage::count("lsm.decoded.evict") >= 1, "capacity-2 cache never evicted");
-}
-
-#[test]
-fn filters_disabled_reads_stay_correct() {
-    let _g = cov_guard();
-    let index = setup_config(LsmConfig {
-        filters: false,
-        decoded_cache_tables: 8,
-        memtable_shards: 4,
-        ..LsmConfig::default()
-    });
-    for k in 0..8u128 {
-        index.put2(k, vec![loc(3, k as u32, k)]);
-    }
-    index.flush().unwrap();
-    for k in 100..104u128 {
-        index.put2(k, vec![loc(3, k as u32, k)]);
-    }
-    index.flush().unwrap();
-    let _rec = coverage::Recording::start();
-    for k in 0..8u128 {
-        assert_eq!(index.get(k).unwrap(), Some(vec![loc(3, k as u32, k)]));
-    }
-    assert_eq!(index.get(50).unwrap(), None);
-    assert_eq!(coverage::count("lsm.get.fence_skip"), 0);
-    assert_eq!(coverage::count("lsm.get.bloom_skip"), 0);
 }
 
 #[test]

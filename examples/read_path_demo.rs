@@ -43,12 +43,13 @@ fn main() {
     println!("  decoded miss: {}", coverage::count("lsm.decoded.miss"));
     println!("  decoded hit : {}", coverage::count("lsm.decoded.hit"));
 
-    let stats = store.cache().stats();
+    let obs = store.obs();
+    let registry = obs.registry();
     println!(
         "sharded chunk cache: {} segments, {} hits / {} misses, {} bytes",
         store.cache().segment_count(),
-        stats.hits,
-        stats.misses,
+        registry.counter("cache.hits").get(),
+        registry.counter("cache.misses").get(),
         store.cache().cached_bytes()
     );
 
